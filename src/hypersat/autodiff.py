@@ -3,11 +3,16 @@
 A ``Tensor`` wraps a numpy array and remembers how it was produced; calling
 ``backward`` on a scalar result walks the graph in reverse topological
 order and accumulates adjoints into every reachable leaf.  The op set is
-exactly what the solver network needs; everything is checked against
-central finite differences in the tests.
+exactly what the solver network needs (matmul, sparse_matmul, add, sub,
+scale, hadamard, concat_rows, split_rows, reshape_pairs, row_softmax, relu,
+sigmoid, layer_norm, frobenius_sq, tsum, and the fused ``attention``, whose
+tape keeps only the probabilities and a bool dropout mask); everything is
+checked against central finite differences in the tests.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -117,13 +122,6 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
         b._accumulate(g * a.value)
 
     return Tensor(a.value * b.value, (a, b), back)
-
-
-def transpose(a: Tensor) -> Tensor:
-    def back(g):
-        a._accumulate(g.T)
-
-    return Tensor(a.value.T, (a,), back)
 
 
 def concat_rows(a: Tensor, b: Tensor) -> Tensor:
@@ -240,26 +238,48 @@ def tsum(a: Tensor) -> Tensor:
     return Tensor(np.array(a.value.sum()), (a,), back)
 
 
-def dropout(
-    a: Tensor, p: float, training: bool, rng: np.random.Generator | None
+def attention(
+    q: Tensor, k: Tensor, v: Tensor, scale: float, p: float, training: bool,
+    rng: np.random.Generator | None,
 ) -> Tensor:
-    """Inverted dropout: survivors scaled by 1/(1-p); identity at inference."""
+    """``dropout(row_softmax(scale * q @ k.T)) @ v``, bit-identical to that
+    chain of ops; the tape keeps only the probabilities and the bool
+    keep-mask.  Inverted dropout (survivors scaled by 1/(1-p), identity at
+    inference) reads raw Philox words: ``random()`` is
+    ``(word >> 11) * 2**-53``, so ``word >= ceil(p * 2**53) << 11`` keeps
+    what ``rng.random(shape) >= p`` keeps, from the same words, at half the
+    cost."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0,1), got {p}")
-    if not training or p == 0.0:
+    probs = q.value @ k.value.T
+    probs *= scale
+    probs -= probs.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    keep, inv = None, 1.0 / (1.0 - p)
+    if training and p != 0.0:
+        if rng is None or not isinstance(rng.bit_generator, np.random.Philox):
+            raise ValueError("training-mode dropout needs a Philox rng")
+        threshold = np.uint64(math.ceil(p * 2.0**53) << 11)
+        keep = rng.bit_generator.random_raw(probs.shape) >= threshold
 
-        def back_id(g):
-            a._accumulate(g)
-
-        return Tensor(a.value.copy(), (a,), back_id)
-    if rng is None:
-        raise ValueError("training-mode dropout needs an rng")
-    mask = (rng.random(a.value.shape) >= p) / (1.0 - p)
+    def dropped():
+        return probs if keep is None else probs * inv * keep
 
     def back(g):
-        a._accumulate(g * mask)
+        v._accumulate(dropped().T @ g)
+        gp = g @ v.value.T
+        if keep is not None:
+            gp *= keep
+            gp *= inv
+        gp -= (gp * probs).sum(axis=1, keepdims=True)
+        gp *= probs
+        gp *= scale
+        q._accumulate(gp @ k.value)
+        k._accumulate((q.value.T @ gp).T)
 
-    return Tensor(a.value * mask, (a,), back)
+    # parents in this order keep the chain's gradient accumulation order
+    return Tensor(dropped() @ v.value, (q, k, v), back)
 
 
 def finite_diff_check(

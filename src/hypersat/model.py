@@ -143,7 +143,11 @@ def cross_attention(
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[Tensor, Tensor]:
-    """Positive bank attends over the negative bank and vice versa."""
+    """Positive bank attends over the negative bank and vice versa, each
+    direction one fused ``autodiff.attention`` op that leaves an n x n
+    float array and a bool mask on the tape.  Its mask compares raw Philox
+    words with a threshold; ``rng.random()`` is the top 53 bits of the same
+    word, so it drops what ``rng.random(shape) < dropout_p`` would."""
     d = lp.value.shape[1]
     inv_sqrt_d = 1.0 / math.sqrt(d)
 
@@ -151,10 +155,7 @@ def cross_attention(
         q = ad.matmul(queries, leaves[f"attn_q_{prefix[0]}"])
         k = ad.matmul(keys, leaves[f"attn_k_{prefix[1]}"])
         v = ad.matmul(values, leaves[f"attn_v_{prefix[1]}"])
-        scores = ad.scale(ad.matmul(q, ad.transpose(k)), inv_sqrt_d)
-        probs = ad.row_softmax(scores)
-        probs = ad.dropout(probs, dropout_p, training, rng)
-        return ad.matmul(probs, v)
+        return ad.attention(q, k, v, inv_sqrt_d, dropout_p, training, rng)
 
     out_pos = attend(lp, ln, ln, ("pos", "neg"))
     out_neg = attend(ln, lp, lp, ("neg", "pos"))

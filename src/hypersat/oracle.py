@@ -145,6 +145,6 @@ def local_search(
             best_w = int(unsat_w)
             best_assignment = assignment.copy()
 
-    res = OracleResult(best_w, best_assignment, steps)
-    assert evaluate(instance, res.best_assignment).unsat_weight == res.best_unsat_weight
-    return res
+    if (found := evaluate(instance, best_assignment).unsat_weight) != best_w:
+        raise RuntimeError(f"tracked unsat weight {best_w}, assignment has {found}")
+    return OracleResult(best_w, best_assignment, steps)

@@ -1,6 +1,8 @@
 """Reverse-mode engine: per-op gradients against central differences plus
 structural properties of the graph walk."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,11 +62,12 @@ def test_add_sub_scale_hadamard_grad(seed):
 @given(SEEDS)
 @settings(max_examples=20, deadline=None)
 def test_transpose_concat_split_grad(seed):
+    # the transposed product is the q @ k.T inside the fused attention op
     def build(l):
-        top, bot = ad.split_rows(ad.concat_rows(l["a"], ad.transpose(l["b"])), 2)
-        return ad.frobenius_sq(ad.matmul(ad.transpose(top), bot))
+        top, bot = ad.split_rows(ad.concat_rows(l["a"], l["b"]), 2)
+        return ad.frobenius_sq(ad.attention(top, bot, bot, 0.8, 0.0, False, None))
 
-    check_unary(build, {"a": (2, 3), "b": (3, 2)}, seed)
+    check_unary(build, {"a": (2, 3), "b": (3, 3)}, seed)
 
 
 @given(SEEDS)
@@ -138,11 +141,12 @@ def test_layer_norm_output_statistics():
 
 
 def test_multi_consumer_accumulation():
-    # d/dx of (x @ x^T summed) where x is consumed twice
+    # d/dx of (x @ x summed) where x is consumed twice: 1 x^T + x^T 1
     x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    out = ad.tsum(ad.matmul(x, ad.transpose(x)))
+    out = ad.tsum(ad.matmul(x, x))
     ad.backward(out)
-    assert np.allclose(x.grad, 2.0 * (x.value.sum(axis=0) * np.ones((2, 2))))
+    ones = np.ones((2, 2))
+    assert np.allclose(x.grad, ones @ x.value.T + x.value.T @ ones)
 
 
 def test_diamond_graph_gradient():
@@ -171,38 +175,137 @@ def test_shape_mismatch_errors():
         ad.reshape_pairs(Tensor(np.ones((3, 1))), 2)
 
 
+def attention_inputs(seed, nq=5, nk=7, d=3, dv=4):
+    rng = make_rng(seed, 0xB1)
+    return (
+        {"q": rand(rng, nq, d), "k": rand(rng, nk, d), "v": rand(rng, nk, dv)},
+        rand(rng, nq, dv),
+    )
+
+
+def reference_attention(q, k, v, scale, p, training, rng):
+    """The unfused chain: matmul, transpose, scale, row_softmax, then
+    inverted dropout with a float mask drawn by ``rng.random``, then matmul."""
+    kt = Tensor(k.value.T, (k,), lambda g: k._accumulate(g.T))
+    probs = ad.row_softmax(ad.scale(ad.matmul(q, kt), scale))
+    if training and p > 0.0:
+        mask = (rng.random(probs.shape) >= p) / (1.0 - p)
+        kept = probs
+        probs = Tensor(
+            kept.value * mask, (kept,), lambda g: kept._accumulate(g * mask)
+        )
+    return ad.matmul(probs, v)
+
+
+def run_attention(op, arrays, weight, p, training, rng):
+    leaves = {name: Tensor(a) for name, a in arrays.items()}
+    out = op(leaves["q"], leaves["k"], leaves["v"], 0.6, p, training, rng)
+    ad.backward(ad.tsum(ad.hadamard(out, Tensor(weight))))
+    return out.value, {name: t.grad for name, t in leaves.items()}
+
+
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.5])
+def test_attention_matches_unfused_chain_bit_for_bit(p, training):
+    for seed in range(5):
+        arrays, weight = attention_inputs(seed, nq=30, nk=40)
+        fused = run_attention(
+            ad.attention, arrays, weight, p, training, make_rng(seed, 0xD0)
+        )
+        ref = run_attention(
+            reference_attention, arrays, weight, p, training, make_rng(seed, 0xD0)
+        )
+        assert np.array_equal(fused[0], ref[0])
+        for name in arrays:
+            assert np.array_equal(fused[1][name], ref[1][name]), name
+
+
+@given(SEEDS, st.sampled_from([0.0, 0.2, 0.6]))
+@settings(max_examples=15, deadline=None)
+def test_attention_grad(seed, p):
+    # a fresh generator from a fixed key per call keeps the mask fixed
+    check_unary(
+        lambda l: ad.frobenius_sq(
+            ad.attention(l["q"], l["k"], l["v"], 0.7, p, True, make_rng(99, 0xB2))
+        ),
+        {"q": (3, 2), "k": (4, 2), "v": (4, 3)},
+        seed,
+    )
+
+
+def uniform_attention(p, rng, rows=200, cols=200):
+    # zero scores give probabilities 1/cols, and v = I shows the dropped
+    # probabilities themselves as the output
+    q, k = Tensor(np.zeros((rows, 1))), Tensor(np.zeros((cols, 1)))
+    v = Tensor(np.eye(cols))
+    return ad.attention(q, k, v, 1.0, p, True, rng), v
+
+
+@given(
+    SEEDS,
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.one_of(
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.sampled_from([0.0, 2.0**-60, 2.0**-53, 0.5, 1.0 - 2.0**-53]),
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_dropout_mask_equals_random_threshold(seed, rows, cols, p):
+    def check(p):
+        fast, slow = make_rng(seed, 0xB3), make_rng(seed, 0xB3)
+        kept = uniform_attention(p, fast, rows, cols)[0].value != 0
+        assert np.array_equal(kept, slow.random((rows, cols)) >= p)
+        # the same words are consumed, and none when p = 0
+        assert fast.random() == (slow if p else make_rng(seed, 0xB3)).random()
+
+    check(p)
+    # the threshold itself is kept and the next float above it is not
+    r = make_rng(seed, 0xB3).random()
+    check(r)
+    check(float(np.nextafter(r, 1.0)))
+
+
 def test_dropout_inference_is_identity():
+    arrays, _ = attention_inputs(1)
+    leaves = [Tensor(arrays[name]) for name in "qkv"]
     rng = make_rng(1, 0xB0)
-    a = Tensor(rng.standard_normal((5, 5)))
-    out = ad.dropout(a, 0.5, training=False, rng=rng)
-    assert np.array_equal(out.value, a.value)
+    untouched = copy.deepcopy(rng)
+    out = ad.attention(*leaves, 0.6, 0.5, False, rng)
+    undropped = ad.attention(*leaves, 0.6, 0.0, True, None)
+    assert np.array_equal(out.value, undropped.value)
+    assert rng.random() == untouched.random()  # nothing drawn
 
 
 def test_dropout_training_mask_and_scaling():
-    rng = make_rng(2, 0xB0)
-    a = Tensor(np.ones((200, 200)))
     p = 0.3
-    out = ad.dropout(a, p, training=True, rng=rng)
+    out, _ = uniform_attention(p, make_rng(2, 0xB0))
     vals = np.unique(out.value)
-    assert set(np.round(vals, 12)) <= {0.0, round(1.0 / (1.0 - p), 12)}
-    # survivor fraction near 1-p, mean preserved in expectation
+    assert set(np.round(vals, 12)) <= {0.0, round(1.0 / 200 / (1.0 - p), 12)}
+    # dropped fraction near p, row sums preserved in expectation
     assert abs((out.value == 0).mean() - p) < 0.02
-    assert abs(out.value.mean() - 1.0) < 0.02
+    assert abs(out.value.sum(axis=1).mean() - 1.0) < 0.02
 
 
 def test_dropout_gradient_uses_same_mask():
     rng = make_rng(3, 0xB0)
-    a = Tensor(np.ones((10, 10)))
-    out = ad.dropout(a, 0.4, training=True, rng=rng)
+    out, v = uniform_attention(0.4, rng)
+    untouched = copy.deepcopy(rng)
     ad.backward(ad.tsum(out))
-    assert np.array_equal(a.grad, (out.value != 0) / 0.6)
+    assert rng.random() == untouched.random()  # backward draws nothing
+    # dv = dropped.T @ g, and out is the dropped probabilities themselves
+    assert np.array_equal(v.grad, out.value.T @ np.ones_like(out.value))
 
 
 def test_dropout_requires_rng_when_training():
+    q = Tensor(np.ones((2, 2)))
     with pytest.raises(ValueError):
-        ad.dropout(Tensor(np.ones((2, 2))), 0.5, training=True, rng=None)
-    with pytest.raises(ValueError):
-        ad.dropout(Tensor(np.ones((2, 2))), 1.0, training=True, rng=None)
+        ad.attention(q, q, q, 1.0, 0.5, True, None)
+    for p in (1.0, -0.1):
+        with pytest.raises(ValueError):
+            ad.attention(q, q, q, 1.0, p, False, None)
+    with pytest.raises(ValueError, match="Philox"):
+        ad.attention(q, q, q, 1.0, 0.5, True, np.random.default_rng(0))
 
 
 def test_finite_diff_check_flags_wrong_gradient():

@@ -1,11 +1,14 @@
 """Classical reference solvers: exhaustive enumeration and weighted
 stochastic local search."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypersat import oracle
 from hypersat.oracle import exhaustive_optimum, local_search
 from hypersat.wcnf import (
     Clause,
@@ -134,3 +137,16 @@ def test_local_search_rejects_negative_steps():
     inst = rand_instance(1)
     with pytest.raises(ValueError):
         local_search(inst, max_steps=-1, seed=0)
+
+
+def test_local_search_checks_its_result(monkeypatch):
+    # a real check, not an assert that python -O would strip
+    real_evaluate = oracle.evaluate
+
+    def off_by_one(instance, assignment):
+        res = real_evaluate(instance, assignment)
+        return dataclasses.replace(res, unsat_weight=res.unsat_weight + 1)
+
+    monkeypatch.setattr(oracle, "evaluate", off_by_one)
+    with pytest.raises(RuntimeError, match="tracked unsat weight"):
+        local_search(rand_instance(4), max_steps=100, seed=4)
