@@ -24,8 +24,9 @@ def main():
     hg = build_literal_hypergraph(inst)
     names = ["x1", "x2", "x3", "~x1", "~x2", "~x3"]
     print("nodes:", ", ".join(f"{i}={n}" for i, n in enumerate(names)))
-    for j, (edge, w) in enumerate(zip(hg.edges, hg.edge_weights)):
-        members = ", ".join(names[v] for v in edge)
+    h = hg.incidence().toarray()  # one column per clause
+    for j, w in enumerate(hg.edge_weights):
+        members = ", ".join(names[v] for v in np.flatnonzero(h[:, j]))
         print(f"edge {j}: {{{members}}} weight={w}")
     print("weighted node degrees:", hg.node_degree)
     print("edge degrees:", hg.edge_degree)

@@ -14,14 +14,13 @@ from .wcnf import (
 from .hypergraph import (
     LiteralHypergraph,
     NormalizedOperator,
-    apply_operator,
     build_literal_hypergraph,
     build_variable_hypergraph,
     normalized_operator,
     q_tilde,
 )
-from .model import ModelConfig, ForwardOutput, forward, init_params
-from .objective import LossBreakdown, shared_loss, task_loss, total_loss
+from .model import ModelConfig, init_params
+from .objective import LossBreakdown, shared_loss, task_loss
 from .oracle import OracleResult, exhaustive_optimum, local_search
 from .solver import SolveConfig, SolveResult, sample_assignments, solve, train
 
@@ -37,19 +36,15 @@ __all__ = [
     "write_wcnf",
     "LiteralHypergraph",
     "NormalizedOperator",
-    "apply_operator",
     "build_literal_hypergraph",
     "build_variable_hypergraph",
     "normalized_operator",
     "q_tilde",
     "ModelConfig",
-    "ForwardOutput",
-    "forward",
     "init_params",
     "LossBreakdown",
     "shared_loss",
     "task_loss",
-    "total_loss",
     "OracleResult",
     "exhaustive_optimum",
     "local_search",

@@ -3,11 +3,11 @@
 A ``Tensor`` wraps a numpy array and remembers how it was produced; calling
 ``backward`` on a scalar result walks the graph in reverse topological
 order and accumulates adjoints into every reachable leaf.  The op set is
-exactly what the solver network needs (matmul, sparse_matmul, add, sub,
-scale, hadamard, concat_rows, split_rows, reshape_pairs, row_softmax, relu,
-sigmoid, layer_norm, frobenius_sq, tsum, and the fused ``attention``, whose
-tape keeps only the probabilities and a bool dropout mask); everything is
-checked against central finite differences in the tests.
+exactly what the solver network needs (matmul, sparse_matmul, add, scale,
+concat_rows, split_rows, reshape_pairs, row_softmax, relu, sigmoid,
+layer_norm, frobenius_sq, and the fused ``attention``, whose tape keeps
+only the probabilities and a bool dropout mask); everything is checked
+against central finite differences in the tests.
 """
 
 from __future__ import annotations
@@ -61,11 +61,6 @@ def backward(loss: Tensor) -> None:
             node._backward(node.grad)
 
 
-def _check_shapes(a, b, op):
-    if a.value.shape != b.value.shape:
-        raise ValueError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.value.shape[1] != b.value.shape[0]:
         raise ValueError(f"matmul: {a.shape} @ {b.shape}")
@@ -79,16 +74,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def sparse_matmul(s, x: Tensor) -> Tensor:
     """Product with a constant (non-learnable) sparse matrix."""
-    st = s.T.tocsr()
 
     def back(g):
-        x._accumulate(st @ g)
+        x._accumulate(s.T @ g)
 
     return Tensor(s @ x.value, (x,), back)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_shapes(a, b, "add")
+    if a.value.shape != b.value.shape:
+        raise ValueError(f"add: shape mismatch {a.shape} vs {b.shape}")
 
     def back(g):
         a._accumulate(g)
@@ -97,31 +92,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(a.value + b.value, (a, b), back)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_shapes(a, b, "sub")
-
-    def back(g):
-        a._accumulate(g)
-        b._accumulate(-g)
-
-    return Tensor(a.value - b.value, (a, b), back)
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     def back(g):
         a._accumulate(c * g)
 
     return Tensor(c * a.value, (a,), back)
-
-
-def hadamard(a: Tensor, b: Tensor) -> Tensor:
-    _check_shapes(a, b, "hadamard")
-
-    def back(g):
-        a._accumulate(g * b.value)
-        b._accumulate(g * a.value)
-
-    return Tensor(a.value * b.value, (a, b), back)
 
 
 def concat_rows(a: Tensor, b: Tensor) -> Tensor:
@@ -229,13 +204,6 @@ def frobenius_sq(a: Tensor) -> Tensor:
         a._accumulate(2.0 * float(g) * a.value)
 
     return Tensor(np.array((a.value**2).sum()), (a,), back)
-
-
-def tsum(a: Tensor) -> Tensor:
-    def back(g):
-        a._accumulate(np.full_like(a.value, float(g)))
-
-    return Tensor(np.array(a.value.sum()), (a,), back)
 
 
 def attention(

@@ -1,16 +1,18 @@
 """Literal/variable hypergraph construction and the normalized convolution
 operator.
 
-Each clause becomes a hyperedge whose weight is the clause weight.  In
-literal mode variable x_i maps to node i-1 and its negation to node n+i-1.
-The message operator is built once per instance:
+Each clause becomes a hyperedge, one column of the binary incidence matrix
+H (nodes x clauses), whose weight is the clause weight.  In literal mode
+variable x_i maps to node i-1 and its negation to node n+i-1.  The message
+operator is built once per instance with sparse products:
 
     Qt = H De~^{-1} H^T - diag(H De~^{-1} H^T),   De~ = De - I
     S  = Dv^{-1/2} Qt Dv^{-1/2}
 
 with Dv the weighted vertex degrees.  Unit edges (edge degree 1) clamp the
 De~ entry to 1; they contribute nothing off-diagonal anyway.  Isolated
-nodes use d^{-1/2} := 0.
+nodes use d^{-1/2} := 0.  Each entry of Qt sums its edges in clause order
+whichever way round the pair is taken, so Qt and S are exactly symmetric.
 """
 
 from __future__ import annotations
@@ -27,24 +29,15 @@ from .wcnf import WcnfInstance
 class LiteralHypergraph:
     num_nodes: int
     num_edges: int
-    edges: tuple[tuple[int, ...], ...]  # node ids per hyperedge
+    h: sp.csr_matrix  # binary incidence, num_nodes x num_edges, sorted
     edge_weights: np.ndarray  # int, length num_edges
     node_degree: np.ndarray  # float, weighted degree d(v)
     edge_degree: np.ndarray  # int, delta(e)
     mode: str  # "literal" | "variable"
 
-    @property
-    def num_vars(self) -> int:
-        return self.num_nodes // 2 if self.mode == "literal" else self.num_nodes
-
     def incidence(self) -> sp.csr_matrix:
         """Sparse binary incidence matrix H (num_nodes x num_edges)."""
-        rows = [v for e in self.edges for v in e]
-        cols = [j for j, e in enumerate(self.edges) for _ in e]
-        data = np.ones(len(rows))
-        return sp.csr_matrix(
-            (data, (rows, cols)), shape=(self.num_nodes, self.num_edges)
-        )
+        return self.h
 
 
 @dataclass(frozen=True)
@@ -54,123 +47,60 @@ class NormalizedOperator:
     matrix: sp.csr_matrix
 
 
-def _finish(edges, num_nodes, weights, mode) -> LiteralHypergraph:
-    edge_degree = np.array([len(e) for e in edges], dtype=np.int64)
-    node_degree = np.zeros(num_nodes)
-    for e, w in zip(edges, weights):
-        for v in e:
-            node_degree[v] += w
+def _build(
+    instance: WcnfInstance, nodes: np.ndarray, num_nodes: int, mode: str
+) -> LiteralHypergraph:
+    """The hypergraph whose clause j holds the nodes of its literals."""
+    t = instance.clause_table
+    # the CSR constructor sorts each row's clauses and merges the repeated
+    # (node, clause) entries that a tautology leaves in variable mode
+    h = sp.csr_matrix(
+        (np.ones(len(nodes)), (nodes, t.clause_of)),
+        shape=(num_nodes, instance.num_clauses),
+    )
+    h.data[:] = 1.0
     return LiteralHypergraph(
         num_nodes=num_nodes,
-        num_edges=len(edges),
-        edges=tuple(tuple(e) for e in edges),
-        edge_weights=np.asarray(weights, dtype=np.int64),
-        node_degree=node_degree,
-        edge_degree=edge_degree,
+        num_edges=instance.num_clauses,
+        h=h,
+        edge_weights=t.weight,
+        node_degree=h @ t.weight.astype(np.float64),
+        edge_degree=np.bincount(h.indices, minlength=instance.num_clauses),
         mode=mode,
     )
 
 
-def literal_node(lit: int, n: int) -> int:
-    """Node id of a signed literal: +v -> v-1, -v -> n+v-1."""
-    return lit - 1 if lit > 0 else n + (-lit) - 1
-
-
 def build_literal_hypergraph(instance: WcnfInstance) -> LiteralHypergraph:
+    t = instance.clause_table
     n = instance.num_vars
-    edges = [
-        [literal_node(lit, n) for lit in cl.literals]
-        for cl in instance.clauses
-    ]
-    weights = [cl.weight for cl in instance.clauses]
-    return _finish(edges, 2 * n, weights, "literal")
+    return _build(instance, t.var + n * ~t.positive, 2 * n, "literal")
 
 
 def build_variable_hypergraph(instance: WcnfInstance) -> LiteralHypergraph:
     """Ablation variant: one node per variable, polarity discarded."""
-    edges = []
-    for cl in instance.clauses:
-        seen: dict[int, None] = {}
-        for lit in cl.literals:
-            seen.setdefault(abs(lit) - 1)
-        edges.append(list(seen))
-    weights = [cl.weight for cl in instance.clauses]
-    return _finish(edges, instance.num_vars, weights, "variable")
+    t = instance.clause_table
+    return _build(instance, t.var, instance.num_vars, "variable")
 
 
-def _pair_entries(hg: LiteralHypergraph, include_edge_weights: bool):
-    """Accumulated off-diagonal entries, keyed by unordered node pair.
-
-    Each unordered pair gets a single accumulated float that is later
-    mirrored to both orientations, so the result is symmetric bit-for-bit.
-    """
-    entries: dict[tuple[int, int], float] = {}
-    for e, delta, w in zip(hg.edges, hg.edge_degree, hg.edge_weights):
-        de = max(int(delta) - 1, 1)  # clamp keeps unit edges nonsingular
-        val = 1.0 / de
-        if include_edge_weights:
-            val *= float(w)
-        for i in range(len(e)):
-            for k in range(i + 1, len(e)):
-                a, b = e[i], e[k]
-                if a > b:
-                    a, b = b, a
-                entries[(a, b)] = entries.get((a, b), 0.0) + val
-    return entries
-
-
-def _symmetric_csr(entries, num_nodes) -> sp.csr_matrix:
-    rows, cols, data = [], [], []
-    for (a, b), v in entries.items():
-        rows += [a, b]
-        cols += [b, a]
-        data += [v, v]
+def q_tilde(hg: LiteralHypergraph) -> sp.csr_matrix:
+    """The adjacency-style operator Qt (zero diagonal, symmetric)."""
+    de = np.maximum(hg.edge_degree - 1, 1).astype(np.float64)
+    # scaling H's entries in place keeps its sorted clause order, which the
+    # product then sums each pair in (scaling by a diagonal matrix would not)
+    hd = hg.h.copy()
+    hd.data /= de[hd.indices]
+    q = (hd @ hg.h.T).tocoo()
+    off = q.row != q.col
     return sp.csr_matrix(
-        (np.array(data), (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
-        shape=(num_nodes, num_nodes),
+        (q.data[off], (q.row[off], q.col[off])), shape=q.shape
     )
 
 
-def q_tilde(
-    hg: LiteralHypergraph, include_edge_weights: bool = False
-) -> sp.csr_matrix:
-    """The adjacency-style operator Qt (zero diagonal, symmetric).
-
-    ``include_edge_weights`` is a diagnostic switch that inserts W into the
-    product (H W De~^{-1} H^T); default off, matching the layer definition
-    where weights enter only through the vertex degrees.
-    """
-    return _symmetric_csr(_pair_entries(hg, include_edge_weights), hg.num_nodes)
-
-
-def normalized_operator(
-    hg: LiteralHypergraph, include_edge_weights: bool = False
-) -> NormalizedOperator:
+def normalized_operator(hg: LiteralHypergraph) -> NormalizedOperator:
     """S = Dv^{-1/2} Qt Dv^{-1/2}, with zero rows/columns for isolated nodes."""
     inv_sqrt = np.zeros(hg.num_nodes)
     pos = hg.node_degree > 0
     inv_sqrt[pos] = 1.0 / np.sqrt(hg.node_degree[pos])
-    entries = _pair_entries(hg, include_edge_weights)
-    scaled = {
-        (a, b): v * (inv_sqrt[a] * inv_sqrt[b]) for (a, b), v in entries.items()
-    }
-    return NormalizedOperator(matrix=_symmetric_csr(scaled, hg.num_nodes))
-
-
-def apply_operator(op: NormalizedOperator, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] != op.matrix.shape[1]:
-        raise ValueError(
-            f"operator is {op.matrix.shape}, input has {x.shape[0]} rows"
-        )
-    return op.matrix @ x
-
-
-def export_triplets(matrix: sp.spmatrix, path: str) -> None:
-    """Debug dump as ``row col value`` lines."""
-    coo = matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        fh.write(f"# shape {coo.shape[0]} {coo.shape[1]}\n")
-        for i in order:
-            fh.write(f"{coo.row[i]} {coo.col[i]} {coo.data[i]!r}\n")
+    q = q_tilde(hg).tocoo()
+    q.data *= inv_sqrt[q.row] * inv_sqrt[q.col]
+    return NormalizedOperator(matrix=q.tocsr())

@@ -40,7 +40,6 @@ class ModelConfig:
     mode: str = "literal"  # "literal" | "variable"
     use_transformer: bool = True
     attention_dropout: float = 0.1
-    conv_layers: int = 2
     seed: int = 0
     # width overrides, None -> derived from num_vars
     d0: int | None = None
@@ -76,14 +75,6 @@ class ForwardTensors:
     logits: Tensor
     penult_pos: Tensor | None = None
     penult_neg: Tensor | None = None
-
-
-@dataclass(frozen=True)
-class ForwardOutput:
-    y: np.ndarray  # (n,)
-    logits: np.ndarray
-    penult_pos: np.ndarray | None = None
-    penult_neg: np.ndarray | None = None
 
 
 def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
@@ -223,49 +214,3 @@ def build_forward(
     logits = conv_layer(s, h1, leaves["conv2"], "identity")
     y = ad.sigmoid(logits)
     return ForwardTensors(leaves, y, logits)
-
-
-def forward(
-    s: NormalizedOperator, params: ModelParameters, config: ModelConfig
-) -> ForwardOutput:
-    """Inference-mode forward pass returning plain arrays."""
-    ft = build_forward(s, params, config, training=False)
-    return ForwardOutput(
-        y=ft.y.value.reshape(-1).copy(),
-        logits=ft.logits.value.copy(),
-        penult_pos=None if ft.penult_pos is None else ft.penult_pos.value.copy(),
-        penult_neg=None if ft.penult_neg is None else ft.penult_neg.value.copy(),
-    )
-
-
-def save_params(params: ModelParameters, path: str) -> None:
-    """Flat text checkpoint: shapes header + row-major hex floats."""
-    with open(path, "w") as fh:
-        fh.write("hypersat-params v1\n")
-        fh.write(f"{len(params)}\n")
-        for name in sorted(params):
-            arr = params[name]
-            fh.write(f"{name} {arr.shape[0]} {arr.shape[1]}\n")
-            for row in arr:
-                fh.write(" ".join(float(v).hex() for v in row) + "\n")
-
-
-def load_params(path: str) -> ModelParameters:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "hypersat-params v1":
-            raise ValueError(f"unrecognized checkpoint header {header!r}")
-        count = int(fh.readline())
-        params: ModelParameters = {}
-        for _ in range(count):
-            name, rows, cols = fh.readline().split()
-            rows, cols = int(rows), int(cols)
-            data = [
-                [float.fromhex(t) for t in fh.readline().split()]
-                for _ in range(rows)
-            ]
-            arr = np.array(data)
-            if arr.shape != (rows, cols):
-                raise ValueError(f"bad shape for {name} in checkpoint")
-            params[name] = arr
-    return params

@@ -4,7 +4,9 @@ The task loss is the relaxed weighted unsatisfaction
 
     sum_j w_j * prod_{i in C_j^+} (1 - y_i) * prod_{i in C_j^-} y_i,
 
-which for binary y equals the exact unsatisfied weight.  (Minimizing it
+which for binary y equals the exact unsatisfied weight, and for any y in
+[0, 1]^n the expected unsatisfied weight under independent Bernoulli(y)
+(tautologies are compiled out, see ``CompiledClauses``).  (Minimizing it
 maximizes the weighted satisfied sum; the constant total weight is
 dropped.)  The shared-representation loss ||L_pos + L_neg||_F^2 pushes
 complementary literal embeddings toward antisymmetry.
@@ -37,33 +39,37 @@ class CompiledClauses:
 
     For each arity group: ``var_idx`` is (g, a) 0-based variable indices,
     ``positive`` is the (g, a) polarity mask, ``weights`` is (g,).
+    Tautologies (x or not x) are left out: no assignment leaves them
+    unsatisfied, but their product (1 - y) * y is positive inside (0, 1).
     """
 
     num_vars: int
-    total_weight: float
     groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
 
+def _tautologies(instance: WcnfInstance) -> np.ndarray:
+    """Bool per clause: True where the clause holds both x and not x."""
+    t = instance.clause_table
+    # literals are distinct, so a (clause, variable) key repeats only when
+    # both polarities are present
+    keys = np.sort(t.clause_of * instance.num_vars + t.var)
+    out = np.zeros(instance.num_clauses, dtype=bool)
+    out[keys[1:][keys[1:] == keys[:-1]] // instance.num_vars] = True
+    return out
+
+
 def compile_clauses(instance: WcnfInstance) -> CompiledClauses:
-    by_arity: dict[int, list] = {}
-    for cl in instance.clauses:
-        by_arity.setdefault(len(cl.literals), []).append(cl)
+    t = instance.clause_table
+    arity = t.arity
+    arity[_tautologies(instance)] = 0
     groups = []
-    for arity in sorted(by_arity):
-        cls = by_arity[arity]
-        var_idx = np.array(
-            [[abs(l) - 1 for l in c.literals] for c in cls], dtype=np.int64
+    for a in np.unique(arity[arity > 0]):
+        clauses = np.flatnonzero(arity == a)
+        lits = t.start[clauses, None] + np.arange(a)
+        groups.append(
+            (t.var[lits], t.positive[lits], t.weight[clauses].astype(np.float64))
         )
-        positive = np.array(
-            [[l > 0 for l in c.literals] for c in cls], dtype=bool
-        )
-        weights = np.array([c.weight for c in cls], dtype=np.float64)
-        groups.append((var_idx, positive, weights))
-    return CompiledClauses(
-        num_vars=instance.num_vars,
-        total_weight=float(instance.total_weight()),
-        groups=tuple(groups),
-    )
+    return CompiledClauses(num_vars=instance.num_vars, groups=tuple(groups))
 
 
 def _factors(y, var_idx, positive):
@@ -131,9 +137,3 @@ def shared_loss(penult_pos, penult_neg):
             f"bank shapes differ: {penult_pos.shape} vs {penult_neg.shape}"
         )
     return float(((penult_pos + penult_neg) ** 2).sum())
-
-
-def total_loss(task: float, shared: float, lam: float = 2e-3) -> float:
-    if lam < 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
-    return task + lam * shared

@@ -1,7 +1,8 @@
 """Classical ground-truth solvers used for verification and baselines.
 
-``exhaustive_optimum`` enumerates all 2^n assignments (chunked, vectorized
-over assignment indices; bit i of the index is the value of variable i+1).
+``exhaustive_optimum`` enumerates all 2^n assignments in chunks, each
+scored as one batch by ``wcnf.evaluate`` (bit i of the index is the value
+of variable i+1).
 ``local_search`` is a weighted WalkSAT-style walk: pick an unsatisfied
 clause with probability proportional to its weight, then with noise 0.5
 flip a random variable of it, otherwise the variable minimizing the
@@ -18,7 +19,7 @@ from .rng import make_rng
 from .wcnf import WcnfInstance, evaluate
 
 MAX_EXHAUSTIVE_VARS = 26
-_CHUNK = 1 << 16
+_CHUNK_CELLS = 1 << 22  # assignments x literals per evaluated chunk
 
 
 @dataclass(frozen=True)
@@ -35,34 +36,20 @@ def exhaustive_optimum(instance: WcnfInstance) -> OracleResult:
         raise ValueError(
             f"n={n} exceeds exhaustive cap {MAX_EXHAUSTIVE_VARS}"
         )
-    clauses = [
-        (
-            np.array([abs(l) - 1 for l in cl.literals], dtype=np.uint64),
-            np.array([l > 0 for l in cl.literals], dtype=bool),
-            cl.weight,
-        )
-        for cl in instance.clauses
-    ]
     total = 1 << n
+    chunk = max(1, _CHUNK_CELLS // len(instance.clause_table.var))
+    shifts = np.arange(n, dtype=np.int64)
     best_w = None
-    best_idx = 0
-    explored = 0
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.uint64)
-        unsat = np.zeros(idx.shape[0], dtype=np.int64)
-        for vars_, pos, w in clauses:
-            bits = (idx[:, None] >> vars_[None, :]) & np.uint64(1)
-            sat = ((bits == 1) == pos[None, :]).any(axis=1)
-            unsat += w * (~sat)
+    assignment = None
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        bits = ((idx[:, None] >> shifts) & 1).astype(np.int8)
+        unsat = evaluate(instance, bits).unsat_weight
         k = int(unsat.argmin())
-        explored += idx.shape[0]
         if best_w is None or unsat[k] < best_w:
             best_w = int(unsat[k])
-            best_idx = start + k
-    assignment = np.array(
-        [(best_idx >> i) & 1 for i in range(n)], dtype=np.int8
-    )
-    return OracleResult(best_w, assignment, explored)
+            assignment = bits[k].copy()
+    return OracleResult(best_w, assignment, total)
 
 
 def local_search(
@@ -82,18 +69,23 @@ def local_search(
     rng = make_rng(seed, 0x15)
     assignment = rng.integers(0, 2, size=n).astype(np.int8)
 
-    weights = np.array([cl.weight for cl in instance.clauses], dtype=np.int64)
-    clause_lits = [cl.literals for cl in instance.clauses]
-    occurs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for j, lits in enumerate(clause_lits):
-        for lit in lits:
-            occurs[abs(lit) - 1].append((j, 1 if lit > 0 else 0))
+    t = instance.clause_table
+    weights = t.weight
+    # plain Python lists: the walk indexes them one item at a time
+    lit_var = t.var.tolist()
+    starts = t.start.tolist()
+    # occurs[v]: (clause, polarity) of each literal of variable v, in
+    # clause order
+    order = np.argsort(t.var, kind="stable")
+    pairs = list(
+        zip(t.clause_of[order].tolist(), t.positive[order].astype(int).tolist())
+    )
+    bounds = [0] + np.cumsum(np.bincount(t.var, minlength=n)).tolist()
+    occurs = [pairs[a:b] for a, b in zip(bounds, bounds[1:])]
 
-    true_count = np.zeros(m, dtype=np.int64)
-    for j, lits in enumerate(clause_lits):
-        true_count[j] = sum(
-            1 for lit in lits if assignment[abs(lit) - 1] == (lit > 0)
-        )
+    true_count = np.add.reduceat(
+        (assignment[t.var] == t.positive).astype(np.int64), t.start[:-1]
+    )
     unsat_w = int(weights[true_count == 0].sum())
     best_w = unsat_w
     best_assignment = assignment.copy()
@@ -133,12 +125,11 @@ def local_search(
             break
         probs = weights * unsat_mask
         j = int(rng.choice(m, p=probs / probs.sum()))
-        lits = clause_lits[j]
+        vars_ = lit_var[starts[j] : starts[j + 1]]
         if rng.random() < noise:
-            var = abs(lits[int(rng.integers(len(lits)))]) - 1
+            var = vars_[int(rng.integers(len(vars_)))]
         else:
-            deltas = [flip_delta(abs(lit) - 1) for lit in lits]
-            var = abs(lits[int(np.argmin(deltas))]) - 1
+            var = vars_[int(np.argmin([flip_delta(v) for v in vars_]))]
         do_flip(var)
         steps = step + 1
         if unsat_w < best_w:

@@ -38,7 +38,6 @@ class SolveConfig:
     max_epochs: int = 300
     early_stop_tolerance: float = 1e-4
     early_stop_patience: int = 50
-    early_stop_monitor: str = "total"  # "total" | "task"
     lam: float = 2e-3
     num_samples: int = 5
     seed: int = 0
@@ -182,13 +181,8 @@ def train(
             )
         trace.append(breakdown)
         epochs_run = epoch
-        monitored = (
-            breakdown.total
-            if config.early_stop_monitor == "total"
-            else breakdown.task
-        )
-        if best - monitored > config.early_stop_tolerance:
-            best = monitored
+        if best - breakdown.total > config.early_stop_tolerance:
+            best = breakdown.total
             best_params = {k: v.copy() for k, v in params.items()}
             stall = 0
         else:
@@ -204,6 +198,52 @@ def train(
     return best_params, y_final, trace, epochs_run, final_breakdown
 
 
+def gradient_errors(instance: WcnfInstance, seed: int) -> dict[str, float]:
+    """Worst relative error between backprop and central differences of the
+    training loss, per parameter of the literal-mode model (dropout off)."""
+    s = normalized_operator(build_literal_hypergraph(instance))
+    # width floor of 2: a 1-wide hidden layer makes LayerNorm degenerate
+    # and the check vacuous
+    base = ModelConfig(num_vars=instance.num_vars)
+    mconfig = ModelConfig(
+        num_vars=instance.num_vars,
+        seed=seed,
+        attention_dropout=0.0,
+        d0=max(2, base.input_dim),
+        d1=max(2, base.hidden_dim),
+    )
+    params = init_params(mconfig)
+    # nudge every parameter off its initial value: zero-init biases park
+    # piecewise-linear units exactly on their kinks, where two-sided
+    # differences and the subgradient convention disagree by construction
+    jitter_rng = make_rng(seed, 0x6D)
+    for name in params:
+        params[name] = params[name] + 0.05 * jitter_rng.standard_normal(
+            params[name].shape
+        )
+    compiled = objective.compile_clauses(instance)
+    lam = SolveConfig().lam
+
+    # finite_diff_check perturbs the arrays in place, so closing over the
+    # full parameter dict keeps the forward pass consistent
+    def forward():
+        ft = build_forward(s, params, mconfig, training=False)
+        return ft, _epoch_losses(ft, compiled, lam)[0]
+
+    ft, loss = forward()
+    ad.backward(loss)
+    return {
+        name: ad.finite_diff_check(
+            lambda _: float(forward()[1].value),
+            {name: params[name]},
+            {name: ft.leaves[name].grad},
+            step=1e-5,
+            floor=1e-5,
+        )
+        for name in sorted(params)
+    }
+
+
 def sample_assignments(
     y: np.ndarray, instance: WcnfInstance, k: int = 5, seed: int = 0
 ) -> tuple[np.ndarray, int]:
@@ -213,29 +253,23 @@ def sample_assignments(
         raise ValueError("probability vector length mismatch")
     if k < 1:
         raise ValueError("k must be >= 1")
-    rng = make_rng(seed, 0x5A)
-    best_assignment = None
-    best_unsat = None
-    for _ in range(k):
-        assignment = (rng.random(y.shape[0]) < y).astype(np.int8)
-        unsat = evaluate(instance, assignment).unsat_weight
-        if best_unsat is None or unsat < best_unsat:
-            best_unsat = unsat
-            best_assignment = assignment
-    return best_assignment, best_unsat
+    # one (k, n) draw is the same Philox stream as k draws of n
+    draws = (make_rng(seed, 0x5A).random((k, y.shape[0])) < y).astype(np.int8)
+    unsat = evaluate(instance, draws).unsat_weight
+    best = int(unsat.argmin())  # the first of equal draws wins
+    return draws[best].copy(), int(unsat[best])
 
 
 def solve(instance: WcnfInstance, config: SolveConfig) -> SolveResult:
     """Train, round, and report; deterministic for a fixed config."""
     params, y, trace, epochs, final_loss = train(instance, config)
-    assignment, _ = sample_assignments(
+    assignment, unsat = sample_assignments(
         y, instance, k=config.num_samples, seed=config.seed
     )
-    ev = evaluate(instance, assignment)
     return SolveResult(
         assignment=assignment,
-        sat_weight=ev.sat_weight,
-        unsat_weight=ev.unsat_weight,
+        sat_weight=instance.total_weight() - unsat,
+        unsat_weight=unsat,
         epochs_run=epochs,
         loss_trace=tuple(trace),
         probabilities=y,

@@ -1,14 +1,21 @@
 """Weighted MaxSAT instances: DIMACS CNF/WCNF parsing, generation, evaluation.
 
 Clause weights are integers and the evaluator works in exact integer
-arithmetic.  The WCNF dialect is the classic ``p wcnf n m`` format where
-every clause line starts with its weight; all clauses are soft (no "top"
-hard-clause weight).
+arithmetic.  The total weight of an instance must stay below 2^53, so that
+float64 sums of weights (the relaxed loss) are exact too.  The WCNF dialect
+is the classic ``p wcnf n m`` format where every clause line starts with its
+weight; all clauses are soft (no "top" hard-clause weight).
+
+Each instance compiles its clauses once into a ``ClauseTable`` of flat
+literal arrays; the evaluator, the loss, the hypergraph and both oracles
+all read that table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -47,6 +54,34 @@ class Clause:
             raise ValueError(f"clause weight must be >= 1, got {self.weight}")
 
 
+# float64 holds every integer below 2^53 exactly
+MAX_TOTAL_WEIGHT = 2**53 - 1
+
+
+@dataclass(frozen=True)
+class ClauseTable:
+    """The clauses as flat literal arrays, in clause order.
+
+    Clause j owns the literals ``start[j]:start[j + 1]``; literal l is
+    variable ``var[l]`` (0-based), true when that variable equals
+    ``positive[l]``.
+    """
+
+    var: np.ndarray  # int64, one per literal
+    positive: np.ndarray  # bool, one per literal
+    start: np.ndarray  # int64, num_clauses + 1 offsets
+    weight: np.ndarray  # int64, one per clause
+
+    @property
+    def arity(self) -> np.ndarray:
+        return np.diff(self.start)
+
+    @property
+    def clause_of(self) -> np.ndarray:
+        """Clause index of each literal."""
+        return np.repeat(np.arange(len(self.weight)), self.arity)
+
+
 @dataclass(frozen=True)
 class WcnfInstance:
     """A Weighted MaxSAT instance: n variables and m weighted clauses."""
@@ -66,6 +101,10 @@ class WcnfInstance:
                     raise ValueError(
                         f"literal {lit} out of range for n={self.num_vars}"
                     )
+        if self.total_weight() > MAX_TOTAL_WEIGHT:
+            raise ValueError(
+                f"total weight {self.total_weight()} is not below 2^53"
+            )
 
     @property
     def num_clauses(self) -> int:
@@ -74,12 +113,31 @@ class WcnfInstance:
     def total_weight(self) -> int:
         return sum(cl.weight for cl in self.clauses)
 
+    @cached_property
+    def clause_table(self) -> ClauseTable:
+        """The clauses compiled into flat arrays, built on first use."""
+        arity = [len(cl.literals) for cl in self.clauses]
+        lits = np.fromiter(
+            chain.from_iterable(cl.literals for cl in self.clauses),
+            dtype=np.int64,
+            count=sum(arity),
+        )
+        return ClauseTable(
+            var=np.abs(lits) - 1,
+            positive=lits > 0,
+            start=np.concatenate([[0], np.cumsum(arity)]).astype(np.int64),
+            weight=np.array([cl.weight for cl in self.clauses], dtype=np.int64),
+        )
+
 
 @dataclass(frozen=True)
 class EvalResult:
-    sat_weight: int
-    unsat_weight: int
-    clause_flags: np.ndarray  # bool, True where the clause is satisfied
+    """Weights of one assignment (ints), or of each row of a batch
+    (int64 arrays of length k)."""
+
+    sat_weight: int | np.ndarray
+    unsat_weight: int | np.ndarray
+    clause_flags: np.ndarray  # bool (m,) or (k, m), True where satisfied
 
 
 def _parse_dimacs(text: str, weighted: bool) -> WcnfInstance:
@@ -87,6 +145,7 @@ def _parse_dimacs(text: str, weighted: bool) -> WcnfInstance:
     num_vars = None
     num_clauses = None
     clauses: list[Clause] = []
+    total_weight = 0
     pending: list[int] = []  # literal tokens of the clause being read
     pending_weight: int | None = None
     clause_start_line = 0
@@ -144,6 +203,12 @@ def _parse_dimacs(text: str, weighted: bool) -> WcnfInstance:
                     )
                 except ValueError as exc:
                     raise WcnfParseError(str(exc), clause_start_line)
+                total_weight += pending_weight
+                if total_weight > MAX_TOTAL_WEIGHT:
+                    raise WcnfParseError(
+                        f"total weight {total_weight} reaches 2^53",
+                        clause_start_line,
+                    )
                 pending = []
                 pending_weight = None
             else:
@@ -198,25 +263,21 @@ def assign_random_weights(
 
 
 def evaluate(instance: WcnfInstance, assignment: np.ndarray) -> EvalResult:
-    """Exact satisfied/unsatisfied weights of a 0/1 assignment."""
+    """Exact satisfied/unsatisfied weights of a 0/1 assignment of length n,
+    or of every row of a (k, n) batch of them (nonzero means true)."""
     values = np.asarray(assignment)
-    if values.shape != (instance.num_vars,):
+    if values.ndim not in (1, 2) or values.shape[-1] != instance.num_vars:
         raise ValueError(
-            f"assignment length {values.shape} does not match "
+            f"assignment shape {values.shape} does not match "
             f"n={instance.num_vars}"
         )
-    flags = np.zeros(instance.num_clauses, dtype=bool)
-    sat = 0
-    unsat = 0
-    for j, cl in enumerate(instance.clauses):
-        ok = any(
-            (lit > 0) == bool(values[abs(lit) - 1]) for lit in cl.literals
-        )
-        flags[j] = ok
-        if ok:
-            sat += cl.weight
-        else:
-            unsat += cl.weight
+    t = instance.clause_table
+    lit_true = (values[..., t.var] != 0) == t.positive
+    flags = np.logical_or.reduceat(lit_true, t.start[:-1], axis=-1)
+    sat = np.where(flags, t.weight, 0).sum(axis=-1)
+    unsat = np.where(flags, 0, t.weight).sum(axis=-1)
+    if values.ndim == 1:
+        sat, unsat = int(sat), int(unsat)
     return EvalResult(sat_weight=sat, unsat_weight=unsat, clause_flags=flags)
 
 

@@ -12,7 +12,6 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from hypersat import autodiff as ad
 from hypersat import objective
 from hypersat.cli import main as cli_main
 from hypersat.hypergraph import (
@@ -21,10 +20,9 @@ from hypersat.hypergraph import (
     normalized_operator,
     q_tilde,
 )
-from hypersat.model import ModelConfig, build_forward, init_params
 from hypersat.oracle import exhaustive_optimum, local_search
 from hypersat.rng import make_rng
-from hypersat.solver import SolveConfig, solve
+from hypersat.solver import SolveConfig, gradient_errors, solve
 from hypersat.wcnf import (
     assign_random_weights,
     evaluate,
@@ -49,43 +47,7 @@ def make_instance(n, m, seed):
 
 def full_model_fd_error(n, seed):
     inst = make_instance(n, round(4.3 * n), seed)
-    s = normalized_operator(build_literal_hypergraph(inst))
-    base = ModelConfig(num_vars=n)
-    # widths floored at 2 so LayerNorm is not degenerate; all parameters
-    # jittered off init so no piecewise-linear unit sits exactly on a kink
-    config = ModelConfig(
-        num_vars=n,
-        seed=seed,
-        attention_dropout=0.0,
-        d0=max(2, base.input_dim),
-        d1=max(2, base.hidden_dim),
-    )
-    params = init_params(config)
-    jitter = make_rng(seed, 0x6D)
-    for name in params:
-        params[name] = params[name] + 0.05 * jitter.standard_normal(
-            params[name].shape
-        )
-    compiled = objective.compile_clauses(inst)
-    lam = 2e-3
-
-    def loss_of(_params):
-        ft = build_forward(s, params, config, training=False)
-        task = objective.task_loss(compiled, ft.y)
-        shared = objective.shared_loss(ft.penult_pos, ft.penult_neg)
-        return float(ad.add(task, ad.scale(shared, lam)).value)
-
-    ft = build_forward(s, params, config, training=False)
-    task = objective.task_loss(compiled, ft.y)
-    shared = objective.shared_loss(ft.penult_pos, ft.penult_neg)
-    ad.backward(ad.add(task, ad.scale(shared, lam)))
-    grads = {
-        name: ft.leaves[name].grad
-        if ft.leaves[name].grad is not None
-        else np.zeros_like(params[name])
-        for name in params
-    }
-    return ad.finite_diff_check(loss_of, params, grads, step=1e-5, floor=1e-5)
+    return max(gradient_errors(inst, seed).values())
 
 
 def test_1_gradient_correctness():

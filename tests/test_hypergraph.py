@@ -5,19 +5,19 @@ principles (explicit incidence matrix products) and the sparse builders
 are checked against them on random instances.
 """
 
+import hashlib
+
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypersat.hypergraph import (
-    apply_operator,
     build_literal_hypergraph,
     build_variable_hypergraph,
-    literal_node,
     normalized_operator,
     q_tilde,
 )
+from hypersat.rng import make_rng
 from hypersat.wcnf import (
     Clause,
     WcnfInstance,
@@ -26,17 +26,15 @@ from hypersat.wcnf import (
 )
 
 
-def dense_q_tilde(hg, include_edge_weights=False):
+def dense_q_tilde(hg):
     h = hg.incidence().toarray()
     de = np.maximum(hg.edge_degree - 1, 1).astype(np.float64)
-    w = hg.edge_weights.astype(np.float64)
-    mid = np.diag((w if include_edge_weights else np.ones_like(w)) / de)
-    full = h @ mid @ h.T
+    full = h @ np.diag(1.0 / de) @ h.T
     return full - np.diag(np.diag(full))
 
 
-def dense_normalized(hg, include_edge_weights=False):
-    qt = dense_q_tilde(hg, include_edge_weights)
+def dense_normalized(hg):
+    qt = dense_q_tilde(hg)
     d = hg.node_degree.astype(np.float64)
     inv_sqrt = np.where(d > 0, 1.0 / np.sqrt(np.where(d > 0, d, 1.0)), 0.0)
     return np.diag(inv_sqrt) @ qt @ np.diag(inv_sqrt)
@@ -53,20 +51,39 @@ def small_instance():
     )
 
 
+def mixed_arity_instance(seed, n=30, m=90):
+    """Clauses of 1 to 8 distinct variables, random polarities and weights."""
+    rng = make_rng(seed, 0x3A)
+    clauses = []
+    for _ in range(m):
+        vars_ = rng.choice(n, size=int(rng.integers(1, 9)), replace=False) + 1
+        signs = rng.integers(0, 2, size=len(vars_)) * 2 - 1
+        lits = tuple(int(v * s) for v, s in zip(vars_, signs))
+        clauses.append(Clause(lits, int(rng.integers(1, 100))))
+    return WcnfInstance(n, tuple(clauses))
+
+
+def edge_nodes(hg, j):
+    """Sorted node ids of hyperedge j: the rows of column j of H."""
+    return tuple(int(v) for v in np.flatnonzero(hg.incidence()[:, [j]].toarray()))
+
+
 def test_literal_node_layout():
-    assert literal_node(1, 3) == 0
-    assert literal_node(3, 3) == 2
-    assert literal_node(-1, 3) == 3
-    assert literal_node(-3, 3) == 5
+    # +v -> v-1, -v -> n+v-1
+    inst = WcnfInstance(
+        3, (Clause((1,)), Clause((3,)), Clause((-1,)), Clause((-3,)))
+    )
+    hg = build_literal_hypergraph(inst)
+    assert [edge_nodes(hg, j) for j in range(4)] == [(0,), (2,), (3,), (5,)]
 
 
 def test_literal_hypergraph_shapes():
     hg = build_literal_hypergraph(small_instance())
     assert hg.num_nodes == 6
     assert hg.num_edges == 3
-    assert hg.edges[0] == (0, 4, 2)  # x1, not x2, x3
-    assert hg.edges[1] == (3, 1)
-    assert hg.edges[2] == (1,)
+    assert edge_nodes(hg, 0) == (0, 2, 4)  # x1, x3, not x2
+    assert edge_nodes(hg, 1) == (1, 3)
+    assert edge_nodes(hg, 2) == (1,)
     assert list(hg.edge_degree) == [3, 2, 1]
     # weighted degrees: node 1 (x2) sits in clauses of weight 2 and 3
     assert hg.node_degree[1] == 5
@@ -77,16 +94,17 @@ def test_literal_hypergraph_shapes():
 def test_variable_hypergraph_merges_polarity():
     hg = build_variable_hypergraph(small_instance())
     assert hg.num_nodes == 3
-    assert hg.edges[0] == (0, 1, 2)
-    assert hg.edges[1] == (0, 1)
+    assert edge_nodes(hg, 0) == (0, 1, 2)
+    assert edge_nodes(hg, 1) == (0, 1)
     assert hg.mode == "variable"
 
 
 def test_variable_hypergraph_dedups_opposite_literals():
     inst = WcnfInstance(2, (Clause((1, -1, 2), 1),))
     hg = build_variable_hypergraph(inst)
-    assert hg.edges[0] == (0, 1)
+    assert edge_nodes(hg, 0) == (0, 1)
     assert hg.edge_degree[0] == 2
+    assert np.array_equal(hg.incidence().data, np.ones(2))  # binary
 
 
 def test_q_tilde_hand_computed():
@@ -122,29 +140,51 @@ def test_unit_edge_contributes_nothing_off_diagonal():
 @given(st.integers(0, 2_000))
 @settings(max_examples=60, deadline=None)
 def test_sparse_matches_dense_reference(seed):
-    inst = assign_random_weights(
-        generate_random_3sat(4, 12, seed=seed), seed=seed
-    )
-    for build in (build_literal_hypergraph, build_variable_hypergraph):
-        hg = build(inst)
-        for flag in (False, True):
-            qt = q_tilde(hg, include_edge_weights=flag).toarray()
-            assert np.max(np.abs(qt - dense_q_tilde(hg, flag))) <= 1e-12
-            s = normalized_operator(hg, include_edge_weights=flag)
-            assert (
-                np.max(np.abs(s.matrix.toarray() - dense_normalized(hg, flag)))
-                <= 1e-12
-            )
+    for inst in (
+        assign_random_weights(generate_random_3sat(4, 12, seed=seed), seed=seed),
+        mixed_arity_instance(seed, n=8, m=12),
+    ):
+        for build in (build_literal_hypergraph, build_variable_hypergraph):
+            hg = build(inst)
+            qt = q_tilde(hg).toarray()
+            assert np.max(np.abs(qt - dense_q_tilde(hg))) <= 1e-12
+            s = normalized_operator(hg).matrix.toarray()
+            assert np.max(np.abs(s - dense_normalized(hg))) <= 1e-12
 
 
 @given(st.integers(0, 2_000))
 @settings(max_examples=30, deadline=None)
 def test_normalized_operator_exactly_symmetric(seed):
-    inst = assign_random_weights(
-        generate_random_3sat(8, 30, seed=seed), seed=seed
+    for inst in (
+        assign_random_weights(generate_random_3sat(8, 30, seed=seed), seed=seed),
+        mixed_arity_instance(seed),
+    ):
+        for build in (build_literal_hypergraph, build_variable_hypergraph):
+            s = normalized_operator(build(inst)).matrix.toarray()
+            assert np.array_equal(s, s.T)
+
+
+def operator_digest(matrix):
+    digest = hashlib.sha256()
+    for a in (matrix.indptr, matrix.indices):
+        digest.update(np.asarray(a, dtype="<i8").tobytes())
+    digest.update(np.asarray(matrix.data, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+def test_mixed_arity_operator_reproduces_recorded_bits():
+    # Recorded with the earlier pair-loop builder.  Edge degrees 1 to 8 give
+    # 1/de values that round, so a change in the order the pairs' terms are
+    # summed in moves these bits.
+    inst = mixed_arity_instance(5)
+    s = normalized_operator(build_literal_hypergraph(inst)).matrix
+    assert operator_digest(s) == (
+        "930b62463f3e74154b29444fe98e843cfeb3a2925f156e310fcdccb84396354b"
     )
-    s = normalized_operator(build_literal_hypergraph(inst)).matrix.toarray()
-    assert np.array_equal(s, s.T)
+    s = normalized_operator(build_variable_hypergraph(inst)).matrix
+    assert operator_digest(s) == (
+        "c5a4f11e55e72f0bfbedba81df113cf41c5862bfa5d634acb29f255d06a55a33"
+    )
 
 
 def test_isolated_nodes_give_zero_rows():
@@ -155,19 +195,14 @@ def test_isolated_nodes_give_zero_rows():
         assert np.all(s[:, node] == 0)
 
 
-def test_apply_operator_matches_matmul():
-    inst = assign_random_weights(generate_random_3sat(5, 15, seed=9), seed=9)
-    s = normalized_operator(build_literal_hypergraph(inst))
-    x = np.arange(10.0).reshape(10, 1)
-    assert np.allclose(apply_operator(s, x), s.matrix.toarray() @ x)
-    with pytest.raises(ValueError):
-        apply_operator(s, np.ones((3, 1)))
-
-
 def test_incidence_matches_edges():
-    hg = build_literal_hypergraph(small_instance())
+    inst = small_instance()
+    hg = build_literal_hypergraph(inst)
     h = hg.incidence().toarray()
     assert h.shape == (6, 3)
-    for j, edge in enumerate(hg.edges):
-        assert sorted(np.nonzero(h[:, j])[0]) == sorted(edge)
+    n = inst.num_vars
+    for j, cl in enumerate(inst.clauses):
+        nodes = [l - 1 if l > 0 else n - l - 1 for l in cl.literals]
+        assert list(np.flatnonzero(h[:, j])) == sorted(nodes)
     assert np.array_equal(h.sum(axis=0), hg.edge_degree)
+    assert np.array_equal(h @ hg.edge_weights, hg.node_degree)

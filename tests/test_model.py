@@ -13,11 +13,8 @@ from hypersat.model import (
     ModelConfig,
     build_forward,
     conv_layer,
-    forward,
     init_params,
-    load_params,
     round_half_up,
-    save_params,
 )
 from hypersat.rng import make_rng
 from hypersat.wcnf import (
@@ -39,6 +36,12 @@ def rand_setup(n=8, m=25, seed=0, **cfg):
     s = normalized_operator(builder(inst))
     config = ModelConfig(num_vars=n, seed=seed, **cfg)
     return inst, s, config, init_params(config)
+
+
+def infer(s, params, config):
+    """Inference-mode probabilities (n,) and the live forward tensors."""
+    ft = build_forward(s, params, config, training=False)
+    return ft.y.value[:, 0], ft
 
 
 def test_round_half_up():
@@ -127,30 +130,30 @@ def test_conv_layer_identity_activation():
 
 def test_forward_output_shapes_and_range():
     inst, s, config, params = rand_setup(n=10, m=35, seed=4)
-    out = forward(s, params, config)
-    assert out.y.shape == (10,)
-    assert np.all(out.y > 0) and np.all(out.y < 1)
-    assert out.logits.shape == (20, 1)
-    assert out.penult_pos.shape == out.penult_neg.shape == (10, config.hidden_dim)
+    y, ft = infer(s, params, config)
+    assert y.shape == (10,)
+    assert np.all(y > 0) and np.all(y < 1)
+    assert ft.logits.shape == (20, 1)
+    assert ft.penult_pos.shape == ft.penult_neg.shape == (10, config.hidden_dim)
 
 
 def test_pair_softmax_head_complementary():
     # P(x) comes from a 2-way softmax of (logit_x, logit_notx):
     # y_i = sigmoid(logit_i - logit_{n+i})
     inst, s, config, params = rand_setup(n=6, m=20, seed=5)
-    out = forward(s, params, config)
-    diffs = out.logits[:6, 0] - out.logits[6:, 0]
-    assert np.allclose(out.y, 1.0 / (1.0 + np.exp(-diffs)))
+    y, ft = infer(s, params, config)
+    diffs = ft.logits.value[:6, 0] - ft.logits.value[6:, 0]
+    assert np.allclose(y, 1.0 / (1.0 + np.exp(-diffs)))
 
 
 def test_variable_mode_sigmoid_head():
     inst, s, config, params = rand_setup(
         n=6, m=20, seed=5, mode="variable", use_transformer=False
     )
-    out = forward(s, params, config)
-    assert out.y.shape == (6,)
-    assert np.allclose(out.y, 1.0 / (1.0 + np.exp(-out.logits[:, 0])))
-    assert out.penult_pos is None and out.penult_neg is None
+    y, ft = infer(s, params, config)
+    assert y.shape == (6,)
+    assert np.allclose(y, 1.0 / (1.0 + np.exp(-ft.logits.value[:, 0])))
+    assert ft.penult_pos is None and ft.penult_neg is None
 
 
 def test_transformer_ablation_changes_output():
@@ -160,16 +163,16 @@ def test_transformer_ablation_changes_output():
         num_vars=8, seed=6, use_transformer=False, d0=4, d1=3
     )
     plain_params = init_params(plain_config)
-    with_t = forward(s, params, config)
-    without_t = forward(s, plain_params, plain_config)
-    assert not np.allclose(with_t.y, without_t.y)
+    with_t, _ = infer(s, params, config)
+    without_t, _ = infer(s, plain_params, plain_config)
+    assert not np.allclose(with_t, without_t)
 
 
 def test_forward_deterministic_inference():
     inst, s, config, params = rand_setup(n=8, m=28, seed=7)
-    a = forward(s, params, config)
-    b = forward(s, params, config)
-    assert np.array_equal(a.y, b.y)
+    a, _ = infer(s, params, config)
+    b, _ = infer(s, params, config)
+    assert np.array_equal(a, b)
 
 
 def test_training_dropout_changes_output():
@@ -215,7 +218,7 @@ def test_variable_relabeling_permutes_probabilities():
         s = normalized_operator(build_literal_hypergraph(instance))
         params = init_params(config)
         params["embed"] = embed_rows
-        return forward(s, params, config).y
+        return infer(s, params, config)[0]
 
     base_embed = init_params(config)["embed"]
     y1 = run(inst, base_embed)
@@ -227,20 +230,3 @@ def test_variable_relabeling_permutes_probabilities():
     y2 = run(relabeled, permuted)
     for v in range(n):
         assert y2[perm[v]] == pytest.approx(y1[v], abs=1e-12)
-
-
-def test_save_load_roundtrip(tmp_path):
-    _, _, config, params = rand_setup(n=8, seed=13)
-    path = tmp_path / "ckpt.txt"
-    save_params(params, str(path))
-    loaded = load_params(str(path))
-    assert set(loaded) == set(params)
-    for name in params:
-        assert np.array_equal(loaded[name], params[name])
-
-
-def test_load_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("not a checkpoint\n")
-    with pytest.raises(ValueError):
-        load_params(str(path))

@@ -13,7 +13,6 @@ from hypersat.objective import (
     task_loss,
     task_loss_grad,
     task_loss_value,
-    total_loss,
 )
 from hypersat.rng import make_rng
 from hypersat.wcnf import (
@@ -29,6 +28,22 @@ def rand_instance(seed, n=8, m=25):
     return assign_random_weights(
         generate_random_3sat(n, m, seed=seed), seed=seed
     )
+
+
+@st.composite
+def small_instances(draw):
+    """n <= 8, clauses of any arity, some of them holding x and not x."""
+    n = draw(st.integers(1, 8))
+    clauses = []
+    for _ in range(draw(st.integers(1, 12))):
+        vars_ = draw(
+            st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True)
+        )
+        lits = [v * draw(st.sampled_from([-1, 1])) for v in vars_]
+        if draw(st.booleans()):
+            lits.append(-lits[0])
+        clauses.append(Clause(tuple(lits), draw(st.integers(1, 1000))))
+    return WcnfInstance(n, tuple(clauses))
 
 
 def naive_task_loss(instance, y):
@@ -60,6 +75,22 @@ def test_binary_inputs_give_exact_unsat_weight(seed, bits):
     y = np.array(bits, dtype=np.float64)
     loss = task_loss(inst, y)
     assert loss == evaluate(inst, np.array(bits)).unsat_weight
+
+
+@given(small_instances(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_loss_equals_expected_unsat_weight(inst, data):
+    # E[unsat] under independent Bernoulli(y), over all 2^n assignments
+    n = inst.num_vars
+    y = np.array(
+        data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    )
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    prob = np.where(bits == 1, y, 1.0 - y).prod(axis=1)
+    expected = prob @ evaluate(inst, bits).unsat_weight
+    assert task_loss(inst, y) == pytest.approx(
+        expected, rel=1e-9, abs=1e-9 * inst.total_weight()
+    )
 
 
 @given(st.integers(0, 5_000))
@@ -161,8 +192,6 @@ def test_shared_loss_values_and_gradient():
 
 
 def test_total_loss_and_breakdown():
-    assert total_loss(10.0, 5.0, lam=2e-3) == pytest.approx(10.01)
     lb = LossBreakdown(task=10.0, shared=5.0, lam=2e-3)
     assert lb.total == pytest.approx(10.01)
-    with pytest.raises(ValueError):
-        total_loss(1.0, 1.0, lam=-0.1)
+    assert LossBreakdown(task=10.0, shared=5.0, lam=0.0).total == 10.0

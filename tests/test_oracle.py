@@ -24,8 +24,11 @@ def naive_optimum(instance):
     n = instance.num_vars
     best = None
     for idx in range(1 << n):
-        bits = np.array([(idx >> i) & 1 for i in range(n)], dtype=np.int8)
-        w = evaluate(instance, bits).unsat_weight
+        w = sum(
+            cl.weight
+            for cl in instance.clauses
+            if not any(((idx >> (abs(l) - 1)) & 1) == (l > 0) for l in cl.literals)
+        )
         if best is None or w < best:
             best = w
     return best

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypersat.rng import make_rng
 from hypersat.wcnf import (
     Clause,
     WcnfInstance,
@@ -16,6 +17,33 @@ from hypersat.wcnf import (
     parse_wcnf,
     write_wcnf,
 )
+
+
+def reference_evaluate(instance, values):
+    """Per-clause loop: (sat weight, unsat weight, satisfied flags)."""
+    flags = []
+    sat = unsat = 0
+    for cl in instance.clauses:
+        ok = any((lit > 0) == bool(values[abs(lit) - 1]) for lit in cl.literals)
+        flags.append(ok)
+        if ok:
+            sat += cl.weight
+        else:
+            unsat += cl.weight
+    return sat, unsat, flags
+
+
+def random_instance(rng, n):
+    """1 to n distinct variables per clause; some clauses are tautologies."""
+    clauses = []
+    for _ in range(int(rng.integers(1, 4 * n))):
+        vars_ = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        lits = [int(v + 1) * int(rng.choice([-1, 1])) for v in vars_]
+        if len(lits) > 1 and rng.random() < 0.3:
+            lits[1] = -lits[0]
+            lits = list(dict.fromkeys(lits))
+        clauses.append(Clause(tuple(lits), int(rng.integers(1, 1000))))
+    return WcnfInstance(n, tuple(clauses))
 
 CNF_SIMPLE = """\
 c a comment
@@ -115,6 +143,43 @@ def test_evaluate_rejects_bad_assignment():
     inst = parse_wcnf(WCNF_SIMPLE)
     with pytest.raises(ValueError):
         evaluate(inst, np.array([1, 0]))
+    with pytest.raises(ValueError):
+        evaluate(inst, np.ones((2, 2)))
+    with pytest.raises(ValueError):
+        evaluate(inst, np.ones((1, 1, 3)))
+
+
+@given(st.integers(0, 10_000), st.integers(1, 8))
+@settings(max_examples=100, deadline=None)
+def test_batched_evaluate_matches_reference_loop(seed, n):
+    rng = make_rng(seed, 0xE1)
+    inst = random_instance(rng, n)
+    # nonzero values other than 1 count as true, as in the reference
+    batch = rng.integers(0, 3, size=(int(rng.integers(1, 6)), n))
+    ev = evaluate(inst, batch)
+    assert ev.sat_weight.shape == ev.unsat_weight.shape == (len(batch),)
+    for row, values in enumerate(batch):
+        sat, unsat, flags = reference_evaluate(inst, values)
+        assert ev.sat_weight[row] == sat and ev.unsat_weight[row] == unsat
+        assert list(ev.clause_flags[row]) == flags
+        one = evaluate(inst, values)
+        assert (one.sat_weight, one.unsat_weight) == (sat, unsat)
+        assert type(one.unsat_weight) is int
+        assert list(one.clause_flags) == flags
+
+
+def test_total_weight_must_stay_below_2_53():
+    big = 2**53 - 1
+    assert WcnfInstance(1, (Clause((1,), big),)).total_weight() == big
+    assert parse_wcnf(f"p wcnf 1 1\n{big} 1 0\n").total_weight() == big
+    with pytest.raises(ValueError, match="2\\^53"):
+        WcnfInstance(2, (Clause((1,), big), Clause((2,), 1)))
+    with pytest.raises(ValueError):
+        WcnfInstance(1, (Clause((1,), 2**53),))
+    text = f"p wcnf 2 3\n5 1 0\nc\n{big - 4} -1 2 0\n1 2 0\n"
+    with pytest.raises(WcnfParseError) as exc:
+        parse_wcnf(text)
+    assert exc.value.line == 4
 
 
 @given(st.integers(0, 10_000))
