@@ -4,17 +4,38 @@ A ``Tensor`` wraps a numpy array and remembers how it was produced; calling
 ``backward`` on a scalar result walks the graph in reverse topological
 order and accumulates adjoints into every reachable leaf.  The op set is
 exactly what the solver network needs (matmul, sparse_matmul, add, scale,
-concat_rows, split_rows, reshape_pairs, row_softmax, relu, sigmoid,
-layer_norm, frobenius_sq, and the fused ``attention``, whose tape keeps
-only the probabilities and a bool dropout mask); everything is checked
-against central finite differences in the tests.
+split_rows, reshape_pairs, row_softmax, relu, sigmoid, layer_norm,
+frobenius_sq, and ``paired_attention``); everything is checked against
+central finite differences in the tests.
+
+``paired_attention`` computes both cross-attention directions in one op
+and keeps only each direction's probabilities and bool dropout mask on the
+tape.  From ``THREAD_CELLS`` score cells per direction it runs the second
+direction on one worker thread, on plain arrays (the tape is built and
+walked by the caller's thread alone), with dropout words from a copy of the
+generator moved ahead to where the serial order would start them.  Every
+GEMM keeps its full shape, so results are bit-identical to computing the
+directions one after the other, whatever the thread timing.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+
+# Score cells (rows x cols) per direction from which paired_attention runs
+# its two directions at once; below it the hand-off costs more than it saves.
+THREAD_CELLS = 2**18
+# Cells per row tile of elementwise passes that would otherwise allocate an
+# n x n temporary: the raw dropout words and the softmax row dot.
+TILE_CELLS = 2**14
+
+_worker: tuple[int, ThreadPoolExecutor] | None = None  # (pid, executor)
+_worker_lock = threading.Lock()
 
 
 class Tensor:
@@ -97,18 +118,6 @@ def scale(a: Tensor, c: float) -> Tensor:
         a._accumulate(c * g)
 
     return Tensor(c * a.value, (a,), back)
-
-
-def concat_rows(a: Tensor, b: Tensor) -> Tensor:
-    if a.value.shape[1] != b.value.shape[1]:
-        raise ValueError(f"concat_rows: {a.shape} vs {b.shape}")
-    ka = a.value.shape[0]
-
-    def back(g):
-        a._accumulate(g[:ka])
-        b._accumulate(g[ka:])
-
-    return Tensor(np.vstack([a.value, b.value]), (a, b), back)
 
 
 def split_rows(a: Tensor, k: int) -> tuple[Tensor, Tensor]:
@@ -206,48 +215,169 @@ def frobenius_sq(a: Tensor) -> Tensor:
     return Tensor(np.array((a.value**2).sum()), (a,), back)
 
 
-def attention(
-    q: Tensor, k: Tensor, v: Tensor, scale: float, p: float, training: bool,
-    rng: np.random.Generator | None,
-) -> Tensor:
-    """``dropout(row_softmax(scale * q @ k.T)) @ v``, bit-identical to that
-    chain of ops; the tape keeps only the probabilities and the bool
-    keep-mask.  Inverted dropout (survivors scaled by 1/(1-p), identity at
-    inference) reads raw Philox words: ``random()`` is
-    ``(word >> 11) * 2**-53``, so ``word >= ceil(p * 2**53) << 11`` keeps
-    what ``rng.random(shape) >= p`` keeps, from the same words, at half the
-    cost."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0,1), got {p}")
-    probs = q.value @ k.value.T
+def _row_tiles(rows: int, cols: int):
+    """Row slices of about ``TILE_CELLS`` cells covering a rows x cols array."""
+    step = max(1, TILE_CELLS // max(cols, 1))
+    return [slice(a, a + step) for a in range(0, rows, step)]
+
+
+def _dropped(probs: np.ndarray, keep: np.ndarray, inv: float) -> np.ndarray:
+    """``probs * inv * keep`` with one n x n temporary instead of two."""
+    out = np.multiply(probs, inv)
+    out *= keep
+    return out
+
+
+def _attend(q, k, v, scale, inv, bitgen, threshold):
+    """One direction's forward on plain arrays: (output, probabilities,
+    keep mask or None).  Builds no Tensor, so it may run on the worker."""
+    probs = q @ k.T
     probs *= scale
     probs -= probs.max(axis=1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=1, keepdims=True)
-    keep, inv = None, 1.0 / (1.0 - p)
+    if bitgen is None:
+        return probs @ v, probs, None
+    keep = np.empty(probs.shape, dtype=bool)
+    for rows in _row_tiles(*probs.shape):
+        np.greater_equal(
+            bitgen.random_raw(keep[rows].shape), threshold, out=keep[rows]
+        )
+    return _dropped(probs, keep, inv) @ v, probs, keep
+
+
+def _attend_back(g, q, k, v, scale, inv, probs, keep):
+    """One direction's backward on plain arrays: gradients of (q, k, v)."""
+    if keep is None:
+        dv = probs.T @ g
+        gp = g @ v.T
+    else:
+        gp = _dropped(probs, keep, inv)
+        dv = gp.T @ g
+        np.matmul(g, v.T, out=gp)  # the dropped probabilities are dead now
+        gp *= keep
+        gp *= inv
+    dot = np.empty((gp.shape[0], 1))
+    for rows in _row_tiles(*gp.shape):
+        dot[rows] = (gp[rows] * probs[rows]).sum(axis=1, keepdims=True)
+    gp -= dot
+    gp *= probs
+    gp *= scale
+    return gp @ k, (q.T @ gp).T, dv
+
+
+def _skip(bitgen: np.random.Philox, words: int) -> None:
+    """Move ``bitgen`` ``words`` raw draws ahead, exactly as drawing them
+    would.  Philox makes words in blocks of four: the rest of the buffered
+    block is drawn, whole blocks are skipped by ``advance``, and the words
+    left over are drawn from the next block."""
+    before = bitgen.state
+    buffered = min(words, 4 - before["buffer_pos"])
+    bitgen.random_raw(buffered)
+    if words > buffered:
+        bitgen.advance((words - buffered) // 4)
+        bitgen.random_raw((words - buffered) % 4)
+        # advance() also drops the spare 32-bit half, which raw draws keep
+        state = bitgen.state
+        state["has_uint32"] = before["has_uint32"]
+        state["uinteger"] = before["uinteger"]
+        bitgen.state = state
+
+
+def _executor() -> ThreadPoolExecutor:
+    """This process's worker thread.  A forked child holds the parent's
+    executor, whose thread it does not have, so it starts its own."""
+    global _worker
+    with _worker_lock:
+        if _worker is None or _worker[0] != os.getpid():
+            _worker = (os.getpid(), ThreadPoolExecutor(1))
+        return _worker[1]
+
+
+def _pair(threaded: bool, fn, first: tuple, second: tuple) -> tuple:
+    """``(fn(*first), fn(*second))``, the second call on the worker thread
+    when ``threaded``."""
+    if not threaded:
+        return fn(*first), fn(*second)
+    later = _executor().submit(fn, *second)
+    try:
+        one = fn(*first)
+    finally:
+        two = later.result()
+    return one, two
+
+
+def paired_attention(
+    q_pos: Tensor, k_neg: Tensor, v_neg: Tensor,
+    q_neg: Tensor, k_pos: Tensor, v_pos: Tensor,
+    scale: float, p: float, training: bool,
+    rng: np.random.Generator | None,
+) -> Tensor:
+    """Both cross-attention directions, stacked by rows: each is
+    ``dropout(row_softmax(scale * q @ k.T)) @ v``, and the result is
+    bit-identical to that chain of ops for (q_pos, k_neg, v_neg), then for
+    (q_neg, k_pos, v_pos), then stacking the two.  The tape keeps only each
+    direction's probabilities and bool keep-mask.
+
+    Inverted dropout (survivors scaled by 1/(1-p), identity at inference)
+    reads raw Philox words: ``random()`` is ``(word >> 11) * 2**-53``, so
+    ``word >= ceil(p * 2**53) << 11`` keeps what ``rng.random(shape) >= p``
+    keeps, from the same words, at half the cost.
+
+    From ``THREAD_CELLS`` score cells per direction, the second direction's
+    forward and backward run on one worker thread while the first runs on
+    the caller's; numpy releases the GIL for BLAS, ufuncs and raw draws.
+    The worker draws from a copy of ``rng`` moved ahead by the first
+    direction's words, and ``rng`` ends where that copy ends, so the masks,
+    the results and ``rng``'s next draw never depend on thread timing."""
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"dropout probability must be in [0,1), got {p}")
+    bitgen, threshold = None, None
     if training and p != 0.0:
         if rng is None or not isinstance(rng.bit_generator, np.random.Philox):
             raise ValueError("training-mode dropout needs a Philox rng")
+        bitgen = rng.bit_generator
         threshold = np.uint64(math.ceil(p * 2.0**53) << 11)
-        keep = rng.bit_generator.random_raw(probs.shape) >= threshold
-
-    def dropped():
-        return probs if keep is None else probs * inv * keep
+    inv = 1.0 / (1.0 - p)
+    first = (q_pos.value, k_neg.value, v_neg.value)
+    second = (q_neg.value, k_pos.value, v_pos.value)
+    words = len(first[0]) * len(first[1])
+    threaded = min(words, len(second[0]) * len(second[1])) >= THREAD_CELLS
+    ahead = bitgen  # the second direction's words follow the first's
+    if threaded and bitgen is not None:
+        ahead = np.random.Philox(key=0)  # a keyless one reads OS entropy
+        ahead.state = bitgen.state
+        _skip(ahead, words)
+    (out1, probs1, keep1), (out2, probs2, keep2) = _pair(
+        threaded,
+        _attend,
+        (*first, scale, inv, bitgen, threshold),
+        (*second, scale, inv, ahead, threshold),
+    )
+    if ahead is not bitgen:
+        bitgen.state = ahead.state
+    split = len(out1)
 
     def back(g):
-        v._accumulate(dropped().T @ g)
-        gp = g @ v.value.T
-        if keep is not None:
-            gp *= keep
-            gp *= inv
-        gp -= (gp * probs).sum(axis=1, keepdims=True)
-        gp *= probs
-        gp *= scale
-        q._accumulate(gp @ k.value)
-        k._accumulate((q.value.T @ gp).T)
+        grads = _pair(
+            threaded,
+            _attend_back,
+            (g[:split], *first, scale, inv, probs1, keep1),
+            (g[split:], *second, scale, inv, probs2, keep2),
+        )
+        for (q, k, v), (dq, dk, dv) in zip(
+            ((q_pos, k_neg, v_neg), (q_neg, k_pos, v_pos)), grads
+        ):
+            v._accumulate(dv)
+            q._accumulate(dq)
+            k._accumulate(dk)
 
     # parents in this order keep the chain's gradient accumulation order
-    return Tensor(dropped() @ v.value, (q, k, v), back)
+    return Tensor(
+        np.concatenate([out1, out2]),
+        (q_pos, k_neg, v_neg, q_neg, k_pos, v_pos),
+        back,
+    )
 
 
 def finite_diff_check(

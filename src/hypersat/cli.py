@@ -160,6 +160,15 @@ def _bench_one(task) -> dict:
     }
 
 
+def _bench_task(task) -> tuple[dict | None, str | None]:
+    """(row, None), or (None, message) if the task raised: one failing task
+    must not lose the rows of the others."""
+    try:
+        return _bench_one(task), None
+    except Exception as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
 def cmd_bench(args) -> int:
     paths = sorted(glob.glob(str(Path(args.dataset_dir) / "*.wcnf")))
     paths += sorted(glob.glob(str(Path(args.dataset_dir) / "*.cnf")))
@@ -173,21 +182,29 @@ def cmd_bench(args) -> int:
     tasks = [(p, m, s) for p in paths for m in methods for s in seeds]
     if args.workers > 1:
         with Pool(args.workers) as pool:
-            rows = pool.map(_bench_one, tasks)
+            outcomes = pool.map(_bench_task, tasks)
     else:
-        rows = [_bench_one(t) for t in tasks]
+        outcomes = [_bench_task(t) for t in tasks]
+    rows = [row for row, _ in outcomes if row is not None]
     rows.sort(key=lambda r: (r["method"], r["instance"], r["seed"]))
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_HEADER)
         writer.writeheader()
         writer.writerows(rows)
+    failures = [
+        (task, error) for task, (_, error) in zip(tasks, outcomes) if error
+    ]
+    for (path, method, seed), error in failures:
+        print(f"error: {path} {method} seed={seed}: {error}", file=sys.stderr)
     print(f"instances={len(paths)} rows={len(rows)} -> {args.out}")
     for method in methods:
         vals = [r["unsat_weight"] for r in rows if r["method"] == method]
+        if not vals:
+            continue
         mean = statistics.mean(vals)
         std = statistics.stdev(vals) if len(vals) > 1 else 0.0
         print(f"{method}: mean_unsat={mean:.4f} std={std:.4f} n={len(vals)}")
-    return 0
+    return 1 if failures else 0
 
 
 def cmd_oracle(args) -> int:

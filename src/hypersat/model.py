@@ -133,24 +133,28 @@ def cross_attention(
     dropout_p: float = 0.0,
     training: bool = False,
     rng: np.random.Generator | None = None,
-) -> tuple[Tensor, Tensor]:
-    """Positive bank attends over the negative bank and vice versa, each
-    direction one fused ``autodiff.attention`` op that leaves an n x n
-    float array and a bool mask on the tape.  Its mask compares raw Philox
-    words with a threshold; ``rng.random()`` is the top 53 bits of the same
-    word, so it drops what ``rng.random(shape) < dropout_p`` would."""
+) -> Tensor:
+    """Positive bank attends over the negative bank and vice versa, stacked
+    as (2n, d) by one ``autodiff.paired_attention`` op, which leaves an
+    n x n float array and a bool mask per direction on the tape.  Its mask
+    compares raw Philox words with a threshold; ``rng.random()`` is the top
+    53 bits of the same word, so it drops what ``rng.random(shape) <
+    dropout_p`` would.  From n = 512 the negative-to-positive direction runs
+    on a second thread, from a copy of ``rng`` set to the words the serial
+    order would give it, so the result does not depend on thread timing."""
     d = lp.value.shape[1]
-    inv_sqrt_d = 1.0 / math.sqrt(d)
-
-    def attend(queries, keys, values, prefix):
-        q = ad.matmul(queries, leaves[f"attn_q_{prefix[0]}"])
-        k = ad.matmul(keys, leaves[f"attn_k_{prefix[1]}"])
-        v = ad.matmul(values, leaves[f"attn_v_{prefix[1]}"])
-        return ad.attention(q, k, v, inv_sqrt_d, dropout_p, training, rng)
-
-    out_pos = attend(lp, ln, ln, ("pos", "neg"))
-    out_neg = attend(ln, lp, lp, ("neg", "pos"))
-    return out_pos, out_neg
+    return ad.paired_attention(
+        ad.matmul(lp, leaves["attn_q_pos"]),
+        ad.matmul(ln, leaves["attn_k_neg"]),
+        ad.matmul(ln, leaves["attn_v_neg"]),
+        ad.matmul(ln, leaves["attn_q_neg"]),
+        ad.matmul(lp, leaves["attn_k_pos"]),
+        ad.matmul(lp, leaves["attn_v_pos"]),
+        1.0 / math.sqrt(d),
+        dropout_p,
+        training,
+        rng,
+    )
 
 
 def transformer_block(
@@ -165,10 +169,7 @@ def transformer_block(
     n = config.num_vars
     x = ad.layer_norm(l, leaves["ln1_gain"], leaves["ln1_bias"], LAYER_NORM_EPS)
     xp, xn = ad.split_rows(x, n)
-    ap, an = cross_attention(
-        xp, xn, leaves, config.attention_dropout, training, rng
-    )
-    a = ad.concat_rows(ap, an)
+    a = cross_attention(xp, xn, leaves, config.attention_dropout, training, rng)
     f = ad.matmul(ad.relu(ad.matmul(x, leaves["ffn1"])), leaves["ffn2"])
     return ad.layer_norm(
         ad.add(ad.add(a, f), x),

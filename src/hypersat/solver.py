@@ -192,6 +192,10 @@ def train(
         ad.backward(total_t)
         grads = {name: ft.leaves[name].grad for name in params}
         adam_step(params, grads, state, epoch, config)
+        # free this epoch's tape, with its n x n arrays, before the next
+        # forward builds another; an early-stop break skips this line
+        ft = total_t = None
+    ft = total_t = None
     final = build_forward(s, best_params, mconfig, training=False)
     _, final_breakdown = _epoch_losses(final, compiled, config.lam)
     y_final = final.y.value.reshape(-1).copy()

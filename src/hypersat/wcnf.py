@@ -158,6 +158,13 @@ def _parse_dimacs(text: str, weighted: bool) -> WcnfInstance:
             break  # SATLIB end-of-file marker
         if line.startswith("p"):
             parts = line.split()
+            if weighted and len(parts) == 5 and parts[1] == fmt:
+                raise WcnfParseError(
+                    f"hard clauses are not supported: the header {line!r} "
+                    f"gives a top weight ({parts[4]}), which marks clauses "
+                    "of that weight as hard",
+                    lineno,
+                )
             if len(parts) != 4 or parts[1] != fmt:
                 raise WcnfParseError(f"malformed header {line!r}", lineno)
             try:

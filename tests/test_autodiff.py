@@ -2,6 +2,10 @@
 structural properties of the graph walk."""
 
 import copy
+import itertools
+import sys
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -71,10 +75,16 @@ def test_add_scale_grad(seed):
 @given(SEEDS)
 @settings(max_examples=20, deadline=None)
 def test_transpose_concat_split_grad(seed):
-    # the transposed product is the q @ k.T inside the fused attention op
+    # the transposed product q @ k.T and the row concatenation of the two
+    # directions are inside the paired attention op
     def build(l):
-        top, bot = ad.split_rows(ad.concat_rows(l["a"], l["b"]), 2)
-        return ad.frobenius_sq(ad.attention(top, bot, bot, 0.8, 0.0, False, None))
+        a, b = l["a"], l["b"]
+        top, bot = ad.split_rows(
+            ad.paired_attention(a, b, b, b, a, a, 0.8, 0.0, False, None), 2
+        )
+        return ad.frobenius_sq(
+            ad.paired_attention(top, bot, bot, bot, top, top, 0.8, 0.0, False, None)
+        )
 
     check_unary(build, {"a": (2, 3), "b": (3, 3)}, seed)
 
@@ -187,15 +197,34 @@ def test_shape_mismatch_errors():
         ad.reshape_pairs(Tensor(np.ones((3, 1))), 2)
 
 
+NAMES = ("q_pos", "k_neg", "v_neg", "q_neg", "k_pos", "v_pos")
+INLINE, THREADED = 2**62, 1  # thread cutoffs that force each path
+
+
+@contextmanager
+def cutoffs(thread_cells, tile_cells=None):
+    """Set paired_attention's thread cutoff, and its row tile, for a block."""
+    saved = ad.THREAD_CELLS, ad.TILE_CELLS
+    ad.THREAD_CELLS, ad.TILE_CELLS = thread_cells, tile_cells or saved[1]
+    try:
+        yield
+    finally:
+        ad.THREAD_CELLS, ad.TILE_CELLS = saved
+
+
 def attention_inputs(seed, nq=5, nk=7, d=3, dv=4):
+    """Arrays shaped as the model shapes them: nq positive and nk negative
+    rows, each bank querying the other's keys and values."""
     rng = make_rng(seed, 0xB1)
-    return (
-        {"q": rand(rng, nq, d), "k": rand(rng, nk, d), "v": rand(rng, nk, dv)},
-        rand(rng, nq, dv),
-    )
+    rows = dict(q_pos=nq, k_neg=nk, v_neg=nk, q_neg=nk, k_pos=nq, v_pos=nq)
+    arrays = {
+        name: rand(rng, r, dv if name[0] == "v" else d)
+        for name, r in rows.items()
+    }
+    return arrays, rand(rng, nq + nk, dv)
 
 
-def reference_attention(q, k, v, scale, p, training, rng):
+def reference_direction(q, k, v, scale, p, training, rng):
     """The unfused chain: matmul, transpose, scale, row_softmax, then
     inverted dropout with a float mask drawn by ``rng.random``, then matmul."""
     kt = Tensor(k.value.T, (k,), lambda g: k._accumulate(g.T))
@@ -209,48 +238,128 @@ def reference_attention(q, k, v, scale, p, training, rng):
     return ad.matmul(probs, v)
 
 
+def reference_attention(q_pos, k_neg, v_neg, q_neg, k_pos, v_pos, *rest):
+    """Both directions of the unfused chain, one after the other, stacked
+    by a row concatenation."""
+    a = reference_direction(q_pos, k_neg, v_neg, *rest)
+    b = reference_direction(q_neg, k_pos, v_pos, *rest)
+    split = a.value.shape[0]
+
+    def back(g):
+        a._accumulate(g[:split])
+        b._accumulate(g[split:])
+
+    return Tensor(np.vstack([a.value, b.value]), (a, b), back)
+
+
 def run_attention(op, arrays, weight, p, training, rng):
     leaves = {name: Tensor(a) for name, a in arrays.items()}
-    out = op(leaves["q"], leaves["k"], leaves["v"], 0.6, p, training, rng)
+    out = op(*(leaves[name] for name in NAMES), 0.6, p, training, rng)
     ad.backward(weighted_sum(out, weight))
     return out.value, {name: t.grad for name, t in leaves.items()}
+
+
+def used_rng(seed, words):
+    """A dropout generator after some earlier draws: none, one word, or
+    three 32-bit halves (two words, and a spare half kept for later)."""
+    rng = make_rng(seed, 0xD0)
+    if words == 1:
+        rng.random()
+    elif words == 2:
+        rng.integers(2**32, size=3, dtype=np.uint32)
+    return rng
 
 
 @pytest.mark.parametrize("training", [True, False])
 @pytest.mark.parametrize("p", [0.0, 0.1, 0.5])
 def test_attention_matches_unfused_chain_bit_for_bit(p, training):
-    for seed in range(5):
-        arrays, weight = attention_inputs(seed, nq=30, nk=40)
-        fused = run_attention(
-            ad.attention, arrays, weight, p, training, make_rng(seed, 0xD0)
-        )
+    # first-direction score cells 1200, 1353, 42, 35: 0, 1, 2, 3 mod 4
+    shapes = [(30, 40), (33, 41), (6, 7), (5, 7)]
+    for (nq, nk), cutoff, tile, words in itertools.product(
+        shapes, (INLINE, THREADED), (None, 64), (0, 1, 2)
+    ):
+        arrays, weight = attention_inputs(nq + words, nq, nk)
+        fused_rng, ref_rng = used_rng(nk, words), used_rng(nk, words)
+        with cutoffs(cutoff, tile):
+            fused = run_attention(
+                ad.paired_attention, arrays, weight, p, training, fused_rng
+            )
         ref = run_attention(
-            reference_attention, arrays, weight, p, training, make_rng(seed, 0xD0)
+            reference_attention, arrays, weight, p, training, ref_rng
         )
-        assert np.array_equal(fused[0], ref[0])
+        case = (nq, nk, cutoff, tile, words)
+        assert np.array_equal(fused[0], ref[0]), case
         for name in arrays:
-            assert np.array_equal(fused[1][name], ref[1][name]), name
+            assert np.array_equal(fused[1][name], ref[1][name]), (name, case)
+        # the generator ends where the chain leaves it, spare half included
+        assert np.array_equal(
+            fused_rng.integers(2**32, size=2, dtype=np.uint32),
+            ref_rng.integers(2**32, size=2, dtype=np.uint32),
+        ), case
+        assert fused_rng.random() == ref_rng.random(), case
+
+
+def test_paired_attention_from_concurrent_callers():
+    # more calling threads than cores share the one worker thread, under
+    # frequent thread switches; every call must still give the chain's bits
+    arrays, weight = attention_inputs(4, nq=30, nk=40)
+    expected = run_attention(
+        reference_attention, arrays, weight, 0.5, True, make_rng(4, 0xD0)
+    )
+    results = []
+
+    def call():
+        for _ in range(5):
+            results.append(run_attention(
+                ad.paired_attention, arrays, weight, 0.5, True, make_rng(4, 0xD0)
+            ))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with cutoffs(THREADED):
+            threads = [threading.Thread(target=call) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 20
+    for out, grads in results:
+        assert np.array_equal(out, expected[0])
+        for name in arrays:
+            assert np.array_equal(grads[name], expected[1][name]), name
 
 
 @given(SEEDS, st.sampled_from([0.0, 0.2, 0.6]))
 @settings(max_examples=15, deadline=None)
 def test_attention_grad(seed, p):
     # a fresh generator from a fixed key per call keeps the mask fixed
+    shapes = {
+        name: (3 if name.endswith("pos") else 4, 3 if name[0] == "v" else 2)
+        for name in NAMES
+    }
     check_unary(
         lambda l: ad.frobenius_sq(
-            ad.attention(l["q"], l["k"], l["v"], 0.7, p, True, make_rng(99, 0xB2))
+            ad.paired_attention(
+                *(l[name] for name in NAMES), 0.7, p, True, make_rng(99, 0xB2)
+            )
         ),
-        {"q": (3, 2), "k": (4, 2), "v": (4, 3)},
+        shapes,
         seed,
     )
 
 
 def uniform_attention(p, rng, rows=200, cols=200):
     # zero scores give probabilities 1/cols, and v = I shows the dropped
-    # probabilities themselves as the output
+    # probabilities themselves as the output; both directions are rows x
+    # cols, so the output is the (2 rows, cols) mask in drawing order
     q, k = Tensor(np.zeros((rows, 1))), Tensor(np.zeros((cols, 1)))
-    v = Tensor(np.eye(cols))
-    return ad.attention(q, k, v, 1.0, p, True, rng), v
+    v_neg, v_pos = Tensor(np.eye(cols)), Tensor(np.eye(cols))
+    out = ad.paired_attention(q, k, v_neg, q, k, v_pos, 1.0, p, True, rng)
+    return out, (v_neg, v_pos)
 
 
 @given(
@@ -265,11 +374,13 @@ def uniform_attention(p, rng, rows=200, cols=200):
 @settings(max_examples=60, deadline=None)
 def test_dropout_mask_equals_random_threshold(seed, rows, cols, p):
     def check(p):
-        fast, slow = make_rng(seed, 0xB3), make_rng(seed, 0xB3)
-        kept = uniform_attention(p, fast, rows, cols)[0].value != 0
-        assert np.array_equal(kept, slow.random((rows, cols)) >= p)
-        # the same words are consumed, and none when p = 0
-        assert fast.random() == (slow if p else make_rng(seed, 0xB3)).random()
+        for cutoff in (INLINE, THREADED):
+            fast, slow = make_rng(seed, 0xB3), make_rng(seed, 0xB3)
+            with cutoffs(cutoff):
+                kept = uniform_attention(p, fast, rows, cols)[0].value != 0
+            assert np.array_equal(kept, slow.random((2 * rows, cols)) >= p)
+            # the same words are consumed, and none when p = 0
+            assert fast.random() == (slow if p else make_rng(seed, 0xB3)).random()
 
     check(p)
     # the threshold itself is kept and the next float above it is not
@@ -280,11 +391,11 @@ def test_dropout_mask_equals_random_threshold(seed, rows, cols, p):
 
 def test_dropout_inference_is_identity():
     arrays, _ = attention_inputs(1)
-    leaves = [Tensor(arrays[name]) for name in "qkv"]
+    leaves = [Tensor(arrays[name]) for name in NAMES]
     rng = make_rng(1, 0xB0)
     untouched = copy.deepcopy(rng)
-    out = ad.attention(*leaves, 0.6, 0.5, False, rng)
-    undropped = ad.attention(*leaves, 0.6, 0.0, True, None)
+    out = ad.paired_attention(*leaves, 0.6, 0.5, False, rng)
+    undropped = ad.paired_attention(*leaves, 0.6, 0.0, True, None)
     assert np.array_equal(out.value, undropped.value)
     assert rng.random() == untouched.random()  # nothing drawn
 
@@ -300,24 +411,29 @@ def test_dropout_training_mask_and_scaling():
 
 
 def test_dropout_gradient_uses_same_mask():
-    rng = make_rng(3, 0xB0)
-    out, v = uniform_attention(0.4, rng)
-    untouched = copy.deepcopy(rng)
-    ad.backward(weighted_sum(out, np.ones_like(out.value)))
-    assert rng.random() == untouched.random()  # backward draws nothing
-    # dv = dropped.T @ g, and out is the dropped probabilities themselves
-    assert np.array_equal(v.grad, out.value.T @ np.ones_like(out.value))
+    for cutoff in (INLINE, THREADED):
+        rng = make_rng(3, 0xB0)
+        with cutoffs(cutoff):
+            out, (v_neg, v_pos) = uniform_attention(0.4, rng)
+            untouched = copy.deepcopy(rng)
+            g = np.ones_like(out.value)
+            ad.backward(weighted_sum(out, g))
+        assert rng.random() == untouched.random()  # backward draws nothing
+        # dv = dropped.T @ g per direction, and out is the dropped
+        # probabilities themselves
+        assert np.array_equal(v_neg.grad, out.value[:200].T @ g[:200])
+        assert np.array_equal(v_pos.grad, out.value[200:].T @ g[200:])
 
 
 def test_dropout_requires_rng_when_training():
     q = Tensor(np.ones((2, 2)))
     with pytest.raises(ValueError):
-        ad.attention(q, q, q, 1.0, 0.5, True, None)
+        ad.paired_attention(*[q] * 6, 1.0, 0.5, True, None)
     for p in (1.0, -0.1):
         with pytest.raises(ValueError):
-            ad.attention(q, q, q, 1.0, p, False, None)
+            ad.paired_attention(*[q] * 6, 1.0, p, False, None)
     with pytest.raises(ValueError, match="Philox"):
-        ad.attention(q, q, q, 1.0, 0.5, True, np.random.default_rng(0))
+        ad.paired_attention(*[q] * 6, 1.0, 0.5, True, np.random.default_rng(0))
 
 
 def test_finite_diff_check_flags_wrong_gradient():

@@ -198,6 +198,38 @@ def test_bench_ablation_methods_run(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_bench_keeps_rows_when_a_task_fails(tmp_path, capsys, workers):
+    # n = 30 is over the exhaustive oracle's cap, so every exhaustive task
+    # raises; the other method's rows must still be written
+    data = gen_dataset(tmp_path, n=30, m=128, count=2)
+    out = tmp_path / "bench.csv"
+    code, stdout, err = run(
+        [
+            "bench",
+            "--dataset-dir", str(data),
+            "--methods", "hypersat-plain,exhaustive",
+            "--seeds", "0,1",
+            "--workers", str(workers),
+            "--out", str(out),
+        ],
+        capsys,
+    )
+    assert code == 1
+    rows = read_rows(out)
+    assert len(rows) == 4
+    assert {r["method"] for r in rows} == {"hypersat-plain"}
+    failures = err.strip().splitlines()
+    assert len(failures) == 4
+    for path in sorted(data.glob("*.wcnf")):
+        for seed in (0, 1):
+            line = f"error: {path} exhaustive seed={seed}: ValueError: "
+            assert any(f.startswith(line) for f in failures), line
+    assert all("exceeds exhaustive cap" in f for f in failures)
+    assert "hypersat-plain: mean_unsat=" in stdout
+    assert "exhaustive:" not in stdout
+
+
 def test_bench_empty_dir_fails(tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     code, _, err = run(

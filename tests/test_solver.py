@@ -1,10 +1,16 @@
 """Training loop, Adam updates, early stopping, and Bernoulli rounding."""
 
 import hashlib
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hypersat
 from hypersat.oracle import exhaustive_optimum
 from hypersat.solver import (
     AdamState,
@@ -209,3 +215,55 @@ def test_solve_reproduces_recorded_results():
         "1001010111011110011100010100111100110101"
     )
     assert result.unsat_weight == 0
+
+
+# n = 600 gives 360000 score cells per attention direction, above
+# autodiff.THREAD_CELLS, so both directions run at once
+LARGE_SOLVE = """
+import hashlib
+from hypersat.solver import SolveConfig, solve
+from hypersat.wcnf import assign_random_weights, generate_random_3sat
+inst = assign_random_weights(generate_random_3sat(600, 2556, seed=7), seed=7)
+r = solve(inst, SolveConfig(seed=7, max_epochs=4))
+h = hashlib.sha256(" ".join(float(lb.total).hex() for lb in r.loss_trace).encode())
+h.update(r.probabilities.tobytes())
+print(r.unsat_weight, float(r.final_loss.total).hex(), h.hexdigest())
+"""
+
+
+def test_threaded_solve_reproduces_recorded_results():
+    # Recorded with numpy 2.4 / OpenBLAS on x86-64 from the directions run
+    # one after the other.  A GEMM with an n-long inner dimension gives
+    # other bits on two BLAS threads than on one, so the solve runs in a
+    # child process pinned to one, as the benchmark pins it.
+    env = dict(os.environ)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    src = str(Path(hypersat.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", LARGE_SOLVE],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [
+        "1587",
+        "0x1.9d188af433884p+10",
+        "9275b6151137250dad8e2aee946ea6cd2760910d21bb42609fbc7342f5a065df",
+    ]
+
+
+def large_solve(epochs):
+    inst = assign_random_weights(generate_random_3sat(600, 2556, seed=7), seed=7)
+    return solve(inst, SolveConfig(seed=7, max_epochs=epochs)).to_dict()
+
+
+def test_threaded_solve_in_forked_child():
+    # the first solve starts this process's attention worker thread; a
+    # forked child does not have that thread and must start its own
+    here = large_solve(2)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        there = pool.apply_async(large_solve, (2,)).get(timeout=60)
+    assert there == here

@@ -107,6 +107,14 @@ def test_parse_rejects_missing_header():
         parse_cnf("1 2 0\n")
 
 
+def test_parse_rejects_classic_header_with_top_weight():
+    text = "c hard clauses\np wcnf 2 2 10\n10 1 2 0\n3 -1 0\n"
+    with pytest.raises(WcnfParseError, match="hard clauses") as info:
+        parse_wcnf(text)
+    assert info.value.line == 2
+    assert "top weight (10)" in str(info.value)
+
+
 def test_clause_validation():
     with pytest.raises(ValueError):
         Clause((), 1)
