@@ -2,7 +2,11 @@
 classical oracles, and gradient checking.
 
 All commands honor ``--seed`` (default from the HYPERSAT_SEED environment
-variable, else 0) and are deterministic apart from wall-time fields.
+variable, else 0).  Apart from wall-time fields their output repeats for a
+fixed seed and a fixed BLAS thread count: OpenBLAS splits the attention
+GEMMs by thread count, so a solve rounds differently on one thread than on
+two.  Set ``OPENBLAS_NUM_THREADS=1``, as ``perfbench/run.py`` does, for
+results that repeat across machines.  The oracles use no BLAS.
 """
 
 from __future__ import annotations
@@ -208,11 +212,15 @@ def cmd_bench(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    inst = _load_instance(args.input)
-    if args.method == "exhaustive":
-        res = exhaustive_optimum(inst)
-    else:
-        res = local_search(inst, max_steps=args.max_steps, seed=args.seed)
+    try:
+        inst = _load_instance(args.input)
+        if args.method == "exhaustive":
+            res = exhaustive_optimum(inst)
+        else:
+            res = local_search(inst, max_steps=args.max_steps, seed=args.seed)
+    except (OSError, ValueError) as exc:
+        print(f"error: {args.input}: {exc}", file=sys.stderr)
+        return 1
     print(
         json.dumps(
             {

@@ -7,6 +7,17 @@ of variable i+1).
 clause with probability proportional to its weight, then with noise 0.5
 flip a random variable of it, otherwise the variable minimizing the
 resulting unsatisfied weight; the best assignment seen is tracked.
+
+A step costs O(unsatisfied clauses + occurrences of the flipped variable)
+and draws the clause that ``rng.choice(m, p=w * unsat / unsat_w)`` would.
+That call builds ``cdf = p.cumsum(); cdf /= cdf[-1]`` and returns
+``cdf.searchsorted(rng.random(), side="right")``.  A satisfied clause adds
+an exact 0.0 to the cumsum, so it cannot be the first entry above the
+draw, and skipping it leaves every other cdf value unchanged.  The
+unsatisfied weight is an exact int below 2^53, so dividing by the tracked
+Python int gives the same floats as dividing by ``p``'s int64 sum.  The
+walk reads and writes Python lists (``WcnfInstance.occurrence_lists``,
+built once per instance), not numpy scalars.
 """
 
 from __future__ import annotations
@@ -65,77 +76,78 @@ def local_search(
     """
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
-    n, m = instance.num_vars, instance.num_clauses
+    n = instance.num_vars
     rng = make_rng(seed, 0x15)
-    assignment = rng.integers(0, 2, size=n).astype(np.int8)
+    initial = rng.integers(0, 2, size=n).astype(np.int8)
 
     t = instance.clause_table
-    weights = t.weight
-    # plain Python lists: the walk indexes them one item at a time
-    lit_var = t.var.tolist()
-    starts = t.start.tolist()
-    # occurs[v]: (clause, polarity) of each literal of variable v, in
-    # clause order
-    order = np.argsort(t.var, kind="stable")
-    pairs = list(
-        zip(t.clause_of[order].tolist(), t.positive[order].astype(int).tolist())
-    )
-    bounds = [0] + np.cumsum(np.bincount(t.var, minlength=n)).tolist()
-    occurs = [pairs[a:b] for a, b in zip(bounds, bounds[1:])]
-
+    occ = instance.occurrence_lists
+    occurs, clause_vars, weights = occ.occurs, occ.clause_vars, occ.weight
     true_count = np.add.reduceat(
-        (assignment[t.var] == t.positive).astype(np.int64), t.start[:-1]
+        (initial[t.var] == t.positive).astype(np.int64), t.start[:-1]
     )
-    unsat_w = int(weights[true_count == 0].sum())
+    unsat_mask = true_count == 0
+    unsat_w = int(t.weight[unsat_mask].sum())
     best_w = unsat_w
-    best_assignment = assignment.copy()
+    # plain Python lists: the walk reads and writes them one item at a time
+    true_count = true_count.tolist()
+    assignment = initial.tolist()
+    flips: list[int] = []
+    best_flips = 0  # the best assignment is initial after flips[:best_flips]
 
     def flip_delta(var: int) -> int:
-        new_val = 1 - assignment[var]
+        value = assignment[var]
         delta = 0
         for j, pol in occurs[var]:
-            was_true = assignment[var] == pol
-            if was_true:
+            if value == pol:
                 if true_count[j] == 1:
                     delta += weights[j]  # clause breaks
-            else:
-                if true_count[j] == 0:
-                    delta -= weights[j]  # clause becomes satisfied
+            elif true_count[j] == 0:
+                delta -= weights[j]  # clause becomes satisfied
         return delta
 
     def do_flip(var: int) -> None:
         nonlocal unsat_w
+        value = assignment[var]
         for j, pol in occurs[var]:
-            if assignment[var] == pol:
-                true_count[j] -= 1
-                if true_count[j] == 0:
+            count = true_count[j]
+            if value == pol:
+                true_count[j] = count - 1
+                if count == 1:
                     unsat_w += weights[j]
+                    unsat_mask[j] = True
             else:
-                if true_count[j] == 0:
+                if count == 0:
                     unsat_w -= weights[j]
-                true_count[j] += 1
-        assignment[var] = 1 - assignment[var]
+                    unsat_mask[j] = False
+                true_count[j] = count + 1
+        assignment[var] = 1 - value
+        flips.append(var)
 
     steps = 0
     for step in range(max_steps):
-        if best_w == 0:
+        if unsat_w == 0:
             break
-        unsat_mask = true_count == 0
-        if not unsat_mask.any():
-            break
-        probs = weights * unsat_mask
-        j = int(rng.choice(m, p=probs / probs.sum()))
-        vars_ = lit_var[starts[j] : starts[j + 1]]
+        # rng.choice(m, p=w * unsat / unsat_w) bit for bit, over the
+        # unsatisfied clauses only (see the module docstring)
+        idx = unsat_mask.nonzero()[0]
+        cdf = (t.weight[idx] / unsat_w).cumsum()
+        cdf /= cdf[-1]
+        j = int(idx[cdf.searchsorted(rng.random(), side="right")])
+        vars_ = clause_vars[j]
         if rng.random() < noise:
             var = vars_[int(rng.integers(len(vars_)))]
         else:
-            var = vars_[int(np.argmin([flip_delta(v) for v in vars_]))]
+            deltas = [flip_delta(v) for v in vars_]
+            var = vars_[deltas.index(min(deltas))]
         do_flip(var)
         steps = step + 1
         if unsat_w < best_w:
-            best_w = int(unsat_w)
-            best_assignment = assignment.copy()
+            best_w = unsat_w
+            best_flips = steps
 
+    flipped = np.bincount(flips[:best_flips], minlength=n).astype(np.int8) & 1
+    best_assignment = initial ^ flipped
     if (found := evaluate(instance, best_assignment).unsat_weight) != best_w:
         raise RuntimeError(f"tracked unsat weight {best_w}, assignment has {found}")
     return OracleResult(best_w, best_assignment, steps)

@@ -8,7 +8,8 @@ weight; all clauses are soft (no "top" hard-clause weight).
 
 Each instance compiles its clauses once into a ``ClauseTable`` of flat
 literal arrays; the evaluator, the loss, the hypergraph and both oracles
-all read that table.
+all read that table.  The local search also reads ``OccurrenceLists``, the
+same clauses as Python lists, built once per instance.
 """
 
 from __future__ import annotations
@@ -83,6 +84,20 @@ class ClauseTable:
 
 
 @dataclass(frozen=True)
+class OccurrenceLists:
+    """The clauses as Python lists, for a walk that reads one item at a time.
+
+    ``occurs[v]`` lists ``(clause, polarity)`` for each literal of variable
+    v (0-based) in clause order, polarity 1 for ``+v`` and 0 for ``-v``;
+    ``clause_vars[j]`` lists the variables of clause j in literal order.
+    """
+
+    occurs: list[list[tuple[int, int]]]
+    clause_vars: list[list[int]]
+    weight: list[int]
+
+
+@dataclass(frozen=True)
 class WcnfInstance:
     """A Weighted MaxSAT instance: n variables and m weighted clauses."""
 
@@ -129,6 +144,23 @@ class WcnfInstance:
             weight=np.array([cl.weight for cl in self.clauses], dtype=np.int64),
         )
 
+    @cached_property
+    def occurrence_lists(self) -> OccurrenceLists:
+        """The clause table as lists, built on first use; it needs n, which
+        the table cannot tell when the last variables occur nowhere."""
+        t = self.clause_table
+        order = np.argsort(t.var, kind="stable")
+        pairs = list(
+            zip(t.clause_of[order].tolist(), t.positive[order].astype(int).tolist())
+        )
+        bounds = [0] + np.cumsum(np.bincount(t.var, minlength=self.num_vars)).tolist()
+        lit_var, starts = t.var.tolist(), t.start.tolist()
+        return OccurrenceLists(
+            occurs=[pairs[a:b] for a, b in zip(bounds, bounds[1:])],
+            clause_vars=[lit_var[a:b] for a, b in zip(starts, starts[1:])],
+            weight=t.weight.tolist(),
+        )
+
 
 @dataclass(frozen=True)
 class EvalResult:
@@ -140,7 +172,7 @@ class EvalResult:
     clause_flags: np.ndarray  # bool (m,) or (k, m), True where satisfied
 
 
-def _parse_dimacs(text: str, weighted: bool) -> WcnfInstance:
+def _parse_dimacs(text: str, weighted: bool, name: str) -> WcnfInstance:
     fmt = "wcnf" if weighted else "cnf"
     num_vars = None
     num_clauses = None
@@ -230,19 +262,17 @@ def _parse_dimacs(text: str, weighted: bool) -> WcnfInstance:
             f"clause count mismatch: header says {num_clauses}, "
             f"found {len(clauses)}"
         )
-    return WcnfInstance(num_vars=num_vars, clauses=tuple(clauses))
+    return WcnfInstance(num_vars=num_vars, clauses=tuple(clauses), name=name)
 
 
 def parse_cnf(text: str, name: str = "") -> WcnfInstance:
     """Parse DIMACS CNF; every clause gets weight 1."""
-    inst = _parse_dimacs(text, weighted=False)
-    return WcnfInstance(inst.num_vars, inst.clauses, name=name)
+    return _parse_dimacs(text, weighted=False, name=name)
 
 
 def parse_wcnf(text: str, name: str = "") -> WcnfInstance:
     """Parse DIMACS WCNF (``w l1 l2 ... 0`` clause lines)."""
-    inst = _parse_dimacs(text, weighted=True)
-    return WcnfInstance(inst.num_vars, inst.clauses, name=name)
+    return _parse_dimacs(text, weighted=True, name=name)
 
 
 def write_wcnf(instance: WcnfInstance) -> str:

@@ -127,6 +127,27 @@ def test_oracle_local_search_json(tmp_path, capsys):
     assert rec["steps"] <= 500
 
 
+def test_oracle_reports_a_bad_file(tmp_path, capsys):
+    path = tmp_path / "dup.wcnf"
+    path.write_text("p wcnf 2 1\n3 1 1 0\n")
+    code, out, err = run(["oracle", "--input", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {path}: line 2: duplicate literal")
+
+
+def test_oracle_reports_an_instance_over_the_exhaustive_cap(tmp_path, capsys):
+    data = gen_dataset(tmp_path, n=30, m=128, count=1)
+    capsys.readouterr()
+    path = next(data.glob("*.wcnf"))
+    code, out, err = run(
+        ["oracle", "--input", str(path), "--method", "exhaustive"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}: n=30 exceeds exhaustive cap 26\n"
+
+
 def bench(tmp_path, data, out_name, capsys, workers=1, seeds="0",
           methods="hypersat,local-search"):
     out = tmp_path / out_name

@@ -115,6 +115,28 @@ def test_parse_rejects_classic_header_with_top_weight():
     assert "top weight (10)" in str(info.value)
 
 
+def test_parse_rejects_duplicate_literal():
+    with pytest.raises(WcnfParseError, match="duplicate literal") as info:
+        parse_wcnf("p wcnf 2 1\n3 1 1 0\n")
+    assert info.value.line == 2
+
+
+def test_occurrence_lists_mirror_the_clauses():
+    # variable 4 occurs nowhere, so only n tells the walk it exists
+    inst = WcnfInstance(
+        4, (Clause((1, -2), 3), Clause((-1, 2, 3), 5), Clause((2, -2), 7))
+    )
+    occ = inst.occurrence_lists
+    assert occ.occurs == [
+        [(0, 1), (1, 0)],
+        [(0, 0), (1, 1), (2, 1), (2, 0)],
+        [(1, 1)],
+        [],
+    ]
+    assert occ.clause_vars == [[0, 1], [0, 1, 2], [1, 1]]
+    assert occ.weight == [3, 5, 7]
+
+
 def test_clause_validation():
     with pytest.raises(ValueError):
         Clause((), 1)
