@@ -24,7 +24,7 @@ def main():
     hg = build_literal_hypergraph(inst)
     names = ["x1", "x2", "x3", "~x1", "~x2", "~x3"]
     print("nodes:", ", ".join(f"{i}={n}" for i, n in enumerate(names)))
-    h = hg.incidence().toarray()  # one column per clause
+    h = hg.h.toarray()  # one column per clause
     for j, w in enumerate(hg.edge_weights):
         members = ", ".join(names[v] for v in np.flatnonzero(h[:, j]))
         print(f"edge {j}: {{{members}}} weight={w}")

@@ -20,7 +20,7 @@ from .hypergraph import (
     q_tilde,
 )
 from .model import ModelConfig, init_params
-from .objective import LossBreakdown, shared_loss, task_loss
+from .objective import LossBreakdown, loss_and_grad, shared_loss, task_loss
 from .oracle import OracleResult, exhaustive_optimum, local_search
 from .solver import SolveConfig, SolveResult, sample_assignments, solve, train
 
@@ -43,6 +43,7 @@ __all__ = [
     "ModelConfig",
     "init_params",
     "LossBreakdown",
+    "loss_and_grad",
     "shared_loss",
     "task_loss",
     "OracleResult",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import glob
 import json
 import os
@@ -134,9 +135,15 @@ def cmd_solve(args) -> int:
     return 0
 
 
+# A file's tasks run one after another (in a pool, mostly in one worker),
+# so one cached instance parses each file and builds its clause table and
+# occurrence lists once for all its methods and seeds.
+_bench_instance = functools.lru_cache(maxsize=1)(_load_instance)
+
+
 def _bench_one(task) -> dict:
     path, method, seed = task
-    inst = _load_instance(path)
+    inst = _bench_instance(path)
     derived = seed ^ stable_name_hash(inst.name)
     start = time.perf_counter()
     if method == "exhaustive":
@@ -184,6 +191,7 @@ def cmd_bench(args) -> int:
     methods = args.methods.split(",")
     seeds = [int(s) for s in args.seeds.split(",")]
     tasks = [(p, m, s) for p in paths for m in methods for s in seeds]
+    _bench_instance.cache_clear()  # a file may have changed since a last run
     if args.workers > 1:
         with Pool(args.workers) as pool:
             outcomes = pool.map(_bench_task, tasks)

@@ -35,10 +35,6 @@ class LiteralHypergraph:
     edge_degree: np.ndarray  # int, delta(e)
     mode: str  # "literal" | "variable"
 
-    def incidence(self) -> sp.csr_matrix:
-        """Sparse binary incidence matrix H (num_nodes x num_edges)."""
-        return self.h
-
 
 @dataclass(frozen=True)
 class NormalizedOperator:

@@ -1,6 +1,11 @@
 """The solver network: 2-layer hypergraph convolution with a parallel
 cross-attention + FFN transformer block, ending in a pair-softmax head.
 
+All parameters live in one flat float64 vector; ``init_params`` hands out
+each one as a named view into it, in sorted-name order, so the optimizer
+and the best-epoch snapshot work on the vector while the layers read
+named arrays.
+
 Literal mode: nodes 0..n-1 are positive literals, n..2n-1 negative.  The
 final 2n x 1 logits are reshaped so row i pairs x_i with its negation, and
 the softmax's first column is P(x_i = true).  Variable mode (ablation)
@@ -24,10 +29,6 @@ from .hypergraph import NormalizedOperator
 from .rng import make_rng
 
 LAYER_NORM_EPS = 1e-5
-
-# Parameters are a flat name -> float64 array mapping; see init_params for
-# the key set and shapes.
-ModelParameters = dict
 
 
 def round_half_up(x: float) -> int:
@@ -58,10 +59,6 @@ class ModelConfig:
         )
 
     @property
-    def ffn_hidden_dim(self) -> int:
-        return self.hidden_dim
-
-    @property
     def num_nodes(self) -> int:
         return 2 * self.num_vars if self.mode == "literal" else self.num_vars
 
@@ -78,7 +75,7 @@ class ForwardTensors:
 
 
 def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
-    d0, d1, h = config.input_dim, config.hidden_dim, config.ffn_hidden_dim
+    d0, d1 = config.input_dim, config.hidden_dim
     shapes = {
         "embed": (config.num_nodes, d0),
         "conv1": (d0, d1),
@@ -88,30 +85,40 @@ def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
         for bank in ("pos", "neg"):
             for proj in ("q", "k", "v"):
                 shapes[f"attn_{proj}_{bank}"] = (d1, d1)
-        shapes["ffn1"] = (d1, h)
-        shapes["ffn2"] = (h, d1)
+        shapes["ffn1"] = (d1, d1)
+        shapes["ffn2"] = (d1, d1)
         for ln in ("ln1", "ln2"):
             shapes[f"{ln}_gain"] = (1, d1)
             shapes[f"{ln}_bias"] = (1, d1)
     return shapes
 
 
-def init_params(config: ModelConfig) -> ModelParameters:
-    """Uniform (-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, scaled-normal
-    embedding, unit LayerNorm gains; deterministic per config seed."""
+def init_params(
+    config: ModelConfig,
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The flat parameter vector and each parameter as a named view into
+    it, laid out in sorted-name order.  Uniform (-1/sqrt(fan_in),
+    +1/sqrt(fan_in)) weights, scaled-normal embedding, unit LayerNorm
+    gains; deterministic per config seed."""
     rng = make_rng(config.seed, 0x1717)
-    params: ModelParameters = {}
-    for name, shape in sorted(_param_shapes(config).items()):
+    shapes = sorted(_param_shapes(config).items())
+    flat = np.empty(sum(math.prod(shape) for _, shape in shapes))
+    params: dict[str, np.ndarray] = {}
+    offset = 0
+    for name, shape in shapes:
+        size = math.prod(shape)
+        view = params[name] = flat[offset : offset + size].reshape(shape)
+        offset += size
         if name == "embed":
-            params[name] = rng.standard_normal(shape) / math.sqrt(shape[1])
+            view[...] = rng.standard_normal(shape) / math.sqrt(shape[1])
         elif name.endswith("_gain"):
-            params[name] = np.ones(shape)
+            view[...] = 1.0
         elif name.endswith("_bias"):
-            params[name] = np.zeros(shape)
+            view[...] = 0.0
         else:
             bound = 1.0 / math.sqrt(shape[0])
-            params[name] = rng.uniform(-bound, bound, size=shape)
-    return params
+            view[...] = rng.uniform(-bound, bound, size=shape)
+    return flat, params
 
 
 def conv_layer(
@@ -190,7 +197,7 @@ def _first_column(a: Tensor) -> Tensor:
 
 def build_forward(
     s: NormalizedOperator,
-    params: ModelParameters,
+    params: dict[str, np.ndarray],
     config: ModelConfig,
     training: bool = False,
     dropout_rng: np.random.Generator | None = None,

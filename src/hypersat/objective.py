@@ -8,8 +8,10 @@ which for binary y equals the exact unsatisfied weight, and for any y in
 [0, 1]^n the expected unsatisfied weight under independent Bernoulli(y)
 (tautologies are compiled out, see ``CompiledClauses``).  (Minimizing it
 maximizes the weighted satisfied sum; the constant total weight is
-dropped.)  The shared-representation loss ||L_pos + L_neg||_F^2 pushes
-complementary literal embeddings toward antisymmetry.
+dropped.)  ``loss_and_grad`` computes it and its gradient on plain arrays
+in one pass over the arity groups; ``task_loss`` is the tape op around it.
+The shared-representation loss ||L_pos + L_neg||_F^2 pushes complementary
+literal embeddings toward antisymmetry.
 """
 
 from __future__ import annotations
@@ -72,68 +74,57 @@ def compile_clauses(instance: WcnfInstance) -> CompiledClauses:
     return CompiledClauses(num_vars=instance.num_vars, groups=tuple(groups))
 
 
-def _factors(y, var_idx, positive):
-    vals = y[var_idx]
-    return np.where(positive, 1.0 - vals, vals)
+def loss_and_grad(
+    compiled: CompiledClauses, y: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """The task loss of a probability vector and its gradient.
 
-
-def task_loss_value(y: np.ndarray, compiled: CompiledClauses) -> float:
+    Per arity group, the clause factors are multiplied left to right into
+    prefix products, as ``prod(axis=1)`` multiplies them, so a clause's
+    product is its last prefix times its last factor.  The gradient of a
+    factor is weight * prefix * suffix, exact even at 0/1, and one
+    ``bincount`` over all groups scatters it to the variables in the order
+    ``np.add.at`` would."""
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if y.shape[0] != compiled.num_vars:
         raise ValueError(
             f"expected {compiled.num_vars} probabilities, got {y.shape[0]}"
         )
     loss = 0.0
+    var_rows, dy_rows = [], []
     for var_idx, positive, weights in compiled.groups:
-        prod = _factors(y, var_idx, positive).prod(axis=1)
-        loss += float(weights @ prod)
-    return loss
-
-
-def task_loss_grad(y: np.ndarray, compiled: CompiledClauses) -> np.ndarray:
-    """Analytic gradient via prefix/suffix products (exact even at 0/1)."""
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    grad = np.zeros(compiled.num_vars)
-    for var_idx, positive, weights in compiled.groups:
-        f = _factors(y, var_idx, positive)  # (g, a)
+        vals = y[var_idx]
+        f = np.where(positive, 1.0 - vals, vals)  # (g, a)
         a = f.shape[1]
         prefix = np.ones_like(f)
         suffix = np.ones_like(f)
         for k in range(1, a):
             prefix[:, k] = prefix[:, k - 1] * f[:, k - 1]
             suffix[:, a - 1 - k] = suffix[:, a - k] * f[:, a - k]
+        loss += float(weights @ (prefix[:, -1] * f[:, -1]))
         dfactor = weights[:, None] * prefix * suffix
-        dy = np.where(positive, -dfactor, dfactor)
-        np.add.at(grad, var_idx.reshape(-1), dy.reshape(-1))
-    return grad
+        var_rows.append(var_idx.reshape(-1))
+        dy_rows.append(np.where(positive, -dfactor, dfactor).reshape(-1))
+    if not var_rows:  # every clause is a tautology
+        return loss, np.zeros(compiled.num_vars)
+    grad = np.bincount(
+        np.concatenate(var_rows),
+        weights=np.concatenate(dy_rows),
+        minlength=compiled.num_vars,
+    )
+    return loss, grad
 
 
-def task_loss(
-    instance_or_compiled, y: np.ndarray | ad.Tensor
-) -> float | ad.Tensor:
-    """Task loss for a probability vector; accepts an autodiff Tensor or a
-    plain array (binary arrays give the exact unsatisfied weight)."""
-    compiled = instance_or_compiled
-    if isinstance(compiled, WcnfInstance):
-        compiled = compile_clauses(compiled)
-    if isinstance(y, ad.Tensor):
-        yv = y.value.reshape(-1)
-        val = task_loss_value(yv, compiled)
-        gy = task_loss_grad(yv, compiled)
+def task_loss(compiled: CompiledClauses, y: ad.Tensor) -> ad.Tensor:
+    """The task loss of the network's (n, 1) probabilities, on the tape."""
+    value, gy = loss_and_grad(compiled, y.value)
 
-        def back(g):
-            y._accumulate(float(g) * gy.reshape(y.value.shape))
+    def back(g):
+        y._accumulate(float(g) * gy.reshape(y.value.shape))
 
-        return ad.Tensor(np.array(val), (y,), back)
-    return task_loss_value(y, compiled)
+    return ad.Tensor(np.array(value), (y,), back)
 
 
-def shared_loss(penult_pos, penult_neg):
-    """||pos + neg||_F^2 on tensors or arrays."""
-    if isinstance(penult_pos, ad.Tensor):
-        return ad.frobenius_sq(ad.add(penult_pos, penult_neg))
-    if penult_pos.shape != penult_neg.shape:
-        raise ValueError(
-            f"bank shapes differ: {penult_pos.shape} vs {penult_neg.shape}"
-        )
-    return float(((penult_pos + penult_neg) ** 2).sum())
+def shared_loss(penult_pos: ad.Tensor, penult_neg: ad.Tensor) -> ad.Tensor:
+    """||pos + neg||_F^2 of the two literal banks, on the tape."""
+    return ad.frobenius_sq(ad.add(penult_pos, penult_neg))

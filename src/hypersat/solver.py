@@ -2,17 +2,19 @@
 probabilistic rounding to Boolean assignments.
 
 Training minimizes task + lambda * shared per epoch (dropout on, fresh
-mask per epoch).  The best-total-loss parameters are kept; the returned
-probabilities come from a final dropout-off forward pass with those
-parameters.  Rounding draws k independent Bernoulli assignments from the
-probability vector and keeps the one with the least unsatisfied weight
+mask per epoch).  The training state is the model's flat parameter vector
+and Adam's two moment vectors of the same layout: each epoch gathers the
+leaf gradients into one vector, and Adam is a few vector operations on it.
+The best-total-loss parameters are kept as one copy of the vector; the
+returned probabilities come from a final dropout-off forward pass with
+those parameters.  Rounding draws k independent Bernoulli assignments from
+the probability vector and keeps the one with the least unsatisfied weight
 (first drawn wins ties).
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,21 +25,24 @@ from .hypergraph import (
     build_variable_hypergraph,
     normalized_operator,
 )
-from .model import ModelConfig, ModelParameters, build_forward, init_params
+from .model import ModelConfig, build_forward, init_params
 from .objective import LossBreakdown
 from .rng import make_rng
 from .wcnf import WcnfInstance, evaluate
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+# training stops once the total loss has not beaten its best by more than
+# the tolerance for this many epochs in a row
+EARLY_STOP_TOLERANCE = 1e-4
+EARLY_STOP_PATIENCE = 50
 
 
 @dataclass(frozen=True)
 class SolveConfig:
     learning_rate: float = 7e-2
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     max_epochs: int = 300
-    early_stop_tolerance: float = 1e-4
-    early_stop_patience: int = 50
     lam: float = 2e-3
     num_samples: int = 5
     seed: int = 0
@@ -48,8 +53,6 @@ class SolveConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        if self.early_stop_patience < 1:
-            raise ValueError("patience must be >= 1")
         if self.num_samples < 1:
             raise ValueError("num_samples must be >= 1")
 
@@ -89,40 +92,24 @@ class SolveResult:
             "lambda": self.config.lam,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-
-@dataclass
-class AdamState:
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-
 
 def adam_step(
-    params: ModelParameters,
-    grads: dict,
-    state: AdamState,
+    flat: np.ndarray,
+    grad: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
     t: int,
-    config: SolveConfig,
+    learning_rate: float,
 ) -> None:
-    """In-place bias-corrected Adam update on every learnable tensor."""
-    b1, b2 = config.adam_beta1, config.adam_beta2
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape mismatch for {name}")
-        m = state.m.setdefault(name, np.zeros_like(p))
-        v = state.v.setdefault(name, np.zeros_like(p))
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        mhat = m / (1 - b1**t)
-        vhat = v / (1 - b2**t)
-        p -= config.learning_rate * mhat / (np.sqrt(vhat) + config.adam_eps)
+    """In-place bias-corrected Adam update of the parameter vector ``flat``
+    at step ``t``, with moment vectors ``m`` and ``v`` updated in place."""
+    m *= ADAM_BETA1
+    m += (1 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1 - ADAM_BETA2) * grad * grad
+    mhat = m / (1 - ADAM_BETA1**t)
+    vhat = v / (1 - ADAM_BETA2**t)
+    flat -= learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def _model_config(instance: WcnfInstance, config: SolveConfig) -> ModelConfig:
@@ -147,13 +134,13 @@ def _epoch_losses(ft, compiled, lam) -> tuple[ad.Tensor, LossBreakdown]:
     return total_t, LossBreakdown(float(task_t.value), shared_val, lam)
 
 
-def train(
-    instance: WcnfInstance, config: SolveConfig
-) -> tuple[ModelParameters, np.ndarray, list[LossBreakdown], int, LossBreakdown]:
+def train(instance: WcnfInstance, config: SolveConfig) -> tuple[
+    dict[str, np.ndarray], np.ndarray, list[LossBreakdown], int, LossBreakdown
+]:
     """Optimize a fresh model on one instance.
 
-    Returns (best parameters, final probabilities, per-epoch loss trace,
-    epochs run, dropout-off loss of the best parameters)."""
+    Returns (best parameters by name, final probabilities, per-epoch loss
+    trace, epochs run, dropout-off loss of the best parameters)."""
     builder = (
         build_literal_hypergraph
         if config.mode == "literal"
@@ -161,12 +148,12 @@ def train(
     )
     s = normalized_operator(builder(instance))
     mconfig = _model_config(instance, config)
-    params = init_params(mconfig)
+    flat, params = init_params(mconfig)
     compiled = objective.compile_clauses(instance)
-    state = AdamState()
+    m, v = np.zeros_like(flat), np.zeros_like(flat)
     trace: list[LossBreakdown] = []
     best = float("inf")
-    best_params = {k: v.copy() for k, v in params.items()}
+    best_flat = flat.copy()
     stall = 0
     epochs_run = 0
     for epoch in range(1, config.max_epochs + 1):
@@ -181,25 +168,27 @@ def train(
             )
         trace.append(breakdown)
         epochs_run = epoch
-        if best - breakdown.total > config.early_stop_tolerance:
+        if best - breakdown.total > EARLY_STOP_TOLERANCE:
             best = breakdown.total
-            best_params = {k: v.copy() for k, v in params.items()}
+            np.copyto(best_flat, flat)
             stall = 0
         else:
             stall += 1
-            if stall >= config.early_stop_patience:
+            if stall >= EARLY_STOP_PATIENCE:
                 break
         ad.backward(total_t)
-        grads = {name: ft.leaves[name].grad for name in params}
-        adam_step(params, grads, state, epoch, config)
+        # the leaves follow the parameters' order, which is flat's layout
+        grad = np.concatenate([t.grad.ravel() for t in ft.leaves.values()])
+        adam_step(flat, grad, m, v, epoch, config.learning_rate)
         # free this epoch's tape, with its n x n arrays, before the next
         # forward builds another; an early-stop break skips this line
         ft = total_t = None
     ft = total_t = None
-    final = build_forward(s, best_params, mconfig, training=False)
+    np.copyto(flat, best_flat)  # the views in params now hold the best
+    final = build_forward(s, params, mconfig, training=False)
     _, final_breakdown = _epoch_losses(final, compiled, config.lam)
     y_final = final.y.value.reshape(-1).copy()
-    return best_params, y_final, trace, epochs_run, final_breakdown
+    return params, y_final, trace, epochs_run, final_breakdown
 
 
 def gradient_errors(instance: WcnfInstance, seed: int) -> dict[str, float]:
@@ -216,19 +205,17 @@ def gradient_errors(instance: WcnfInstance, seed: int) -> dict[str, float]:
         d0=max(2, base.input_dim),
         d1=max(2, base.hidden_dim),
     )
-    params = init_params(mconfig)
+    flat, params = init_params(mconfig)
     # nudge every parameter off its initial value: zero-init biases park
     # piecewise-linear units exactly on their kinks, where two-sided
-    # differences and the subgradient convention disagree by construction
-    jitter_rng = make_rng(seed, 0x6D)
-    for name in params:
-        params[name] = params[name] + 0.05 * jitter_rng.standard_normal(
-            params[name].shape
-        )
+    # differences and the subgradient convention disagree by construction.
+    # One draw over the vector is the stream of one draw per parameter in
+    # layout order.
+    flat += 0.05 * make_rng(seed, 0x6D).standard_normal(flat.size)
     compiled = objective.compile_clauses(instance)
     lam = SolveConfig().lam
 
-    # finite_diff_check perturbs the arrays in place, so closing over the
+    # finite_diff_check perturbs the views in place, so closing over the
     # full parameter dict keeps the forward pass consistent
     def forward():
         ft = build_forward(s, params, mconfig, training=False)

@@ -75,7 +75,8 @@ def test_2_binary_consistency():
         m = int(rng.integers(1, 4 * n))
         inst = make_instance(n, m, 2000 + i)
         bits = rng.integers(0, 2, size=n)
-        loss = objective.task_loss(inst, bits.astype(np.float64))
+        compiled = objective.compile_clauses(inst)
+        loss = objective.loss_and_grad(compiled, bits.astype(np.float64))[0]
         if loss != evaluate(inst, bits).unsat_weight:
             mismatches += 1
     report(
@@ -88,7 +89,7 @@ def test_2_binary_consistency():
 # 3. sparse operator vs dense reference ---------------------------------------
 
 def dense_reference(hg):
-    h = hg.incidence().toarray()
+    h = hg.h.toarray()
     de = np.maximum(hg.edge_degree - 1, 1).astype(np.float64)
     full = h @ np.diag(1.0 / de) @ h.T
     qt = full - np.diag(np.diag(full))

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from hypersat import cli
 from hypersat.cli import CSV_HEADER, build_parser, main
 from hypersat.wcnf import parse_wcnf
 
@@ -205,6 +206,31 @@ def test_bench_parallel_equals_serial(tmp_path, capsys):
     out1, _ = bench(tmp_path, data, "serial.csv", capsys, workers=1)
     out2, _ = bench(tmp_path, data, "par.csv", capsys, workers=4)
     assert strip_wall_time(read_rows(out1)) == strip_wall_time(read_rows(out2))
+
+
+def test_bench_parses_each_file_once(tmp_path, capsys, monkeypatch):
+    data = gen_dataset(tmp_path, count=2)
+    parsed = []
+    parse = cli.parse_wcnf
+
+    def counting_parse(text, name=""):
+        parsed.append(name)
+        return parse(text, name=name)
+
+    monkeypatch.setattr(cli, "parse_wcnf", counting_parse)
+    first, last = sorted(data.glob("*.wcnf"))
+    out, _ = bench(
+        tmp_path, data, "once.csv", capsys,
+        seeds="0,1,2", methods="local-search,exhaustive",
+    )
+    assert len(read_rows(out)) == 12
+    assert parsed == [first.name, last.name]
+    # a later run reads its files again, the one parsed last too, because
+    # the dataset may have changed in between
+    first.unlink()
+    out, _ = bench(tmp_path, data, "again.csv", capsys, seeds="0,1")
+    assert len(read_rows(out)) == 4
+    assert parsed == [first.name, last.name, last.name]
 
 
 def test_bench_ablation_methods_run(tmp_path, capsys):

@@ -27,7 +27,7 @@ from hypersat.wcnf import (
 
 
 def dense_q_tilde(hg):
-    h = hg.incidence().toarray()
+    h = hg.h.toarray()
     de = np.maximum(hg.edge_degree - 1, 1).astype(np.float64)
     full = h @ np.diag(1.0 / de) @ h.T
     return full - np.diag(np.diag(full))
@@ -65,7 +65,7 @@ def mixed_arity_instance(seed, n=30, m=90):
 
 def edge_nodes(hg, j):
     """Sorted node ids of hyperedge j: the rows of column j of H."""
-    return tuple(int(v) for v in np.flatnonzero(hg.incidence()[:, [j]].toarray()))
+    return tuple(int(v) for v in np.flatnonzero(hg.h[:, [j]].toarray()))
 
 
 def test_literal_node_layout():
@@ -104,7 +104,7 @@ def test_variable_hypergraph_dedups_opposite_literals():
     hg = build_variable_hypergraph(inst)
     assert edge_nodes(hg, 0) == (0, 1)
     assert hg.edge_degree[0] == 2
-    assert np.array_equal(hg.incidence().data, np.ones(2))  # binary
+    assert np.array_equal(hg.h.data, np.ones(2))  # binary
 
 
 def test_q_tilde_hand_computed():
@@ -198,7 +198,7 @@ def test_isolated_nodes_give_zero_rows():
 def test_incidence_matches_edges():
     inst = small_instance()
     hg = build_literal_hypergraph(inst)
-    h = hg.incidence().toarray()
+    h = hg.h.toarray()
     assert h.shape == (6, 3)
     n = inst.num_vars
     for j, cl in enumerate(inst.clauses):

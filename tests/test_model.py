@@ -1,5 +1,7 @@
 """Network construction, forward-pass semantics, and structural invariants."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,7 @@ def rand_setup(n=8, m=25, seed=0, **cfg):
     )
     s = normalized_operator(builder(inst))
     config = ModelConfig(num_vars=n, seed=seed, **cfg)
-    return inst, s, config, init_params(config)
+    return inst, s, config, init_params(config)[1]
 
 
 def infer(s, params, config):
@@ -82,14 +84,50 @@ def test_init_params_shapes_and_determinism():
     for ln in ("ln1", "ln2"):
         assert np.array_equal(params[f"{ln}_gain"], np.ones((1, d1)))
         assert np.array_equal(params[f"{ln}_bias"], np.zeros((1, d1)))
-    again = init_params(config)
+    _, again = init_params(config)
     for name in params:
         assert np.array_equal(params[name], again[name])
 
 
+@pytest.mark.parametrize(
+    "config, digest",
+    [
+        (
+            ModelConfig(num_vars=10, seed=4, d0=4, d1=3),
+            "fffdc89823ee2944a5f8d6554bf641626bcd9dcc7dd00105842695b8d5b47e06",
+        ),
+        (
+            ModelConfig(
+                num_vars=7, seed=2, mode="variable", use_transformer=False
+            ),
+            "bd38fd9e2910efbe5edbd0c920c69e34aa9b526cdb9076a7bdf1393c7b2035b8",
+        ),
+    ],
+    ids=["literal", "variable"],
+)
+def test_init_params_are_views_of_one_vector(config, digest):
+    # the digests were recorded from per-parameter arrays, before the
+    # parameters moved into one vector: same draws, same bytes
+    flat, params = init_params(config)
+    assert list(params) == sorted(params)
+    assert sum(p.size for p in params.values()) == flat.size
+    offset = 0
+    for p in params.values():
+        assert np.shares_memory(p, flat) and p.flags.c_contiguous
+        assert p.__array_interface__["data"][0] == (
+            flat.__array_interface__["data"][0] + 8 * offset
+        )
+        offset += p.size
+    h = hashlib.sha256()
+    for name, p in params.items():
+        h.update(name.encode())
+        h.update(p.tobytes())
+    assert h.hexdigest() == digest
+
+
 def test_init_params_bounds():
     config = ModelConfig(num_vars=50, seed=3)
-    params = init_params(config)
+    _, params = init_params(config)
     d0 = config.input_dim
     bound = 1.0 / np.sqrt(d0)
     assert np.all(np.abs(params["conv1"]) < bound)
@@ -162,7 +200,7 @@ def test_transformer_ablation_changes_output():
     plain_config = ModelConfig(
         num_vars=8, seed=6, use_transformer=False, d0=4, d1=3
     )
-    plain_params = init_params(plain_config)
+    _, plain_params = init_params(plain_config)
     with_t, _ = infer(s, params, config)
     without_t, _ = infer(s, plain_params, plain_config)
     assert not np.allclose(with_t, without_t)
@@ -188,7 +226,7 @@ def test_operator_size_mismatch_rejected():
     inst, s, _, _ = rand_setup(n=8)
     config = ModelConfig(num_vars=9)
     with pytest.raises(ValueError):
-        build_forward(s, init_params(config), config)
+        build_forward(s, init_params(config)[1], config)
 
 
 def test_variable_relabeling_permutes_probabilities():
@@ -216,11 +254,11 @@ def test_variable_relabeling_permutes_probabilities():
 
     def run(instance, embed_rows):
         s = normalized_operator(build_literal_hypergraph(instance))
-        params = init_params(config)
+        _, params = init_params(config)
         params["embed"] = embed_rows
         return infer(s, params, config)[0]
 
-    base_embed = init_params(config)["embed"]
+    base_embed = init_params(config)[1]["embed"]
     y1 = run(inst, base_embed)
     # permute the embedding rows the same way (both literal banks)
     permuted = np.empty_like(base_embed)

@@ -9,10 +9,9 @@ from hypersat import autodiff as ad
 from hypersat.objective import (
     LossBreakdown,
     compile_clauses,
+    loss_and_grad,
     shared_loss,
     task_loss,
-    task_loss_grad,
-    task_loss_value,
 )
 from hypersat.rng import make_rng
 from hypersat.wcnf import (
@@ -46,6 +45,10 @@ def small_instances(draw):
     return WcnfInstance(n, tuple(clauses))
 
 
+def loss_of(instance, y):
+    return loss_and_grad(compile_clauses(instance), y)[0]
+
+
 def naive_task_loss(instance, y):
     total = 0.0
     for cl in instance.clauses:
@@ -62,7 +65,7 @@ def naive_task_loss(instance, y):
 def test_matches_naive_reference(seed):
     inst = rand_instance(seed)
     y = make_rng(seed, 0xC0).random(inst.num_vars)
-    assert abs(task_loss(inst, y) - naive_task_loss(inst, y)) < 1e-12
+    assert abs(loss_of(inst, y) - naive_task_loss(inst, y)) < 1e-12
 
 
 @given(
@@ -73,7 +76,7 @@ def test_matches_naive_reference(seed):
 def test_binary_inputs_give_exact_unsat_weight(seed, bits):
     inst = rand_instance(seed)
     y = np.array(bits, dtype=np.float64)
-    loss = task_loss(inst, y)
+    loss = loss_of(inst, y)
     assert loss == evaluate(inst, np.array(bits)).unsat_weight
 
 
@@ -88,7 +91,7 @@ def test_loss_equals_expected_unsat_weight(inst, data):
     bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
     prob = np.where(bits == 1, y, 1.0 - y).prod(axis=1)
     expected = prob @ evaluate(inst, bits).unsat_weight
-    assert task_loss(inst, y) == pytest.approx(
+    assert loss_of(inst, y) == pytest.approx(
         expected, rel=1e-9, abs=1e-9 * inst.total_weight()
     )
 
@@ -98,7 +101,7 @@ def test_loss_equals_expected_unsat_weight(inst, data):
 def test_loss_bounded_by_total_weight(seed):
     inst = rand_instance(seed)
     y = make_rng(seed, 0xC1).random(inst.num_vars)
-    loss = task_loss(inst, y)
+    loss = loss_of(inst, y)
     assert 0.0 <= loss <= inst.total_weight()
 
 
@@ -110,7 +113,7 @@ def test_mixed_arity_clauses():
     expected = (
         2 * 0.5 + 3 * (0.5 * 0.75) + 5 * (0.5 * 0.25 * 0.2)
     )
-    assert abs(task_loss(inst, y) - expected) < 1e-12
+    assert abs(loss_of(inst, y) - expected) < 1e-12
 
 
 def test_affine_in_each_coordinate():
@@ -123,7 +126,7 @@ def test_affine_in_each_coordinate():
         for t in (0.0, 0.5, 1.0):
             z = y.copy()
             z[i] = t
-            vals.append(task_loss(inst, z))
+            vals.append(loss_of(inst, z))
         assert abs(vals[1] - 0.5 * (vals[0] + vals[2])) < 1e-10
 
 
@@ -133,16 +136,56 @@ def test_gradient_matches_finite_differences(seed):
     inst = rand_instance(seed)
     compiled = compile_clauses(inst)
     y = make_rng(seed, 0xC3).random(inst.num_vars)
-    grad = task_loss_grad(y, compiled)
+    grad = loss_and_grad(compiled, y)[1]
     step = 1e-6
     for i in range(inst.num_vars):
         yp, ym = y.copy(), y.copy()
         yp[i] += step
         ym[i] -= step
-        fd = (task_loss_value(yp, compiled) - task_loss_value(ym, compiled)) / (
-            2 * step
-        )
+        fd = (
+            loss_and_grad(compiled, yp)[0] - loss_and_grad(compiled, ym)[0]
+        ) / (2 * step)
         assert abs(fd - grad[i]) < 1e-6 * max(1.0, abs(grad[i]))
+
+
+def two_pass_loss_and_grad(compiled, y):
+    """The loss and gradient as separate passes, with ``prod`` for the value
+    and ``np.add.at`` for the scatter."""
+    loss, grad = 0.0, np.zeros(compiled.num_vars)
+    for var_idx, positive, weights in compiled.groups:
+        f = np.where(positive, 1.0 - y[var_idx], y[var_idx])
+        loss += float(weights @ f.prod(axis=1))
+        a = f.shape[1]
+        prefix, suffix = np.ones_like(f), np.ones_like(f)
+        for k in range(1, a):
+            prefix[:, k] = prefix[:, k - 1] * f[:, k - 1]
+            suffix[:, a - 1 - k] = suffix[:, a - k] * f[:, a - k]
+        dfactor = weights[:, None] * prefix * suffix
+        dy = np.where(positive, -dfactor, dfactor)
+        np.add.at(grad, var_idx.ravel(), dy.ravel())
+    return loss, grad
+
+
+@given(st.integers(0, 5_000))
+@settings(max_examples=30, deadline=None)
+def test_one_pass_matches_two_passes_bit_for_bit(seed):
+    # clauses of arity 1-40 over 60 variables, weights up to 1000
+    rng = make_rng(seed, 0xC6)
+    clauses = []
+    for _ in range(80):
+        a = int(rng.integers(1, 41))
+        vars_ = rng.choice(60, size=a, replace=False) + 1
+        lits = vars_ * rng.choice([-1, 1], size=a)
+        weight = int(rng.integers(1, 1001))
+        clauses.append(Clause(tuple(int(l) for l in lits), weight))
+    compiled = compile_clauses(WcnfInstance(60, tuple(clauses)))
+    y = rng.random(60)
+    y[rng.random(60) < 0.2] = 1.0
+    y[rng.random(60) < 0.1] = 0.0
+    value, grad = loss_and_grad(compiled, y)
+    ref_value, ref_grad = two_pass_loss_and_grad(compiled, y)
+    assert value == ref_value
+    assert grad.tobytes() == ref_grad.tobytes()
 
 
 def test_gradient_exact_at_binary_corners():
@@ -150,11 +193,11 @@ def test_gradient_exact_at_binary_corners():
     inst = rand_instance(23)
     compiled = compile_clauses(inst)
     y = (make_rng(23, 0xC4).random(inst.num_vars) < 0.5).astype(np.float64)
-    grad = task_loss_grad(y, compiled)
+    grad = loss_and_grad(compiled, y)[1]
     for i in range(inst.num_vars):
         y0, y1 = y.copy(), y.copy()
         y0[i], y1[i] = 0.0, 1.0
-        slope = task_loss_value(y1, compiled) - task_loss_value(y0, compiled)
+        slope = loss_and_grad(compiled, y1)[0] - loss_and_grad(compiled, y0)[0]
         assert abs(slope - grad[i]) < 1e-12
 
 
@@ -164,31 +207,34 @@ def test_tensor_path_matches_array_path_and_backprop():
     y = make_rng(31, 0xC5).random((inst.num_vars, 1))
     yt = ad.Tensor(y)
     loss = task_loss(compiled, yt)
-    assert abs(float(loss.value) - task_loss_value(y, compiled)) < 1e-12
-    ad.backward(loss)
-    assert np.allclose(
-        yt.grad.reshape(-1), task_loss_grad(y, compiled)
-    )
+    value, grad = loss_and_grad(compiled, y)
+    assert float(loss.value) == value
+    ad.backward(ad.scale(loss, 3.0))
+    assert yt.grad.shape == y.shape
+    assert np.array_equal(yt.grad.reshape(-1), 3.0 * grad)
 
 
 def test_task_loss_rejects_wrong_length():
     inst = rand_instance(1)
+    compiled = compile_clauses(inst)
     with pytest.raises(ValueError):
-        task_loss(inst, np.ones(inst.num_vars + 1))
+        loss_and_grad(compiled, np.ones(inst.num_vars + 1))
+    with pytest.raises(ValueError):
+        task_loss(compiled, ad.Tensor(np.ones((inst.num_vars - 1, 1))))
 
 
 def test_shared_loss_values_and_gradient():
     a = np.array([[1.0, -2.0], [0.5, 0.0]])
     b = np.array([[-1.0, 2.0], [0.5, 1.0]])
-    assert shared_loss(a, b) == pytest.approx(((a + b) ** 2).sum())
-    assert shared_loss(a, -a) == 0.0
     ta, tb = ad.Tensor(a), ad.Tensor(b)
     out = shared_loss(ta, tb)
+    assert float(out.value) == pytest.approx(((a + b) ** 2).sum())
+    assert float(shared_loss(ta, ad.Tensor(-a)).value) == 0.0
     ad.backward(out)
     assert np.allclose(ta.grad, 2 * (a + b))
     assert np.allclose(tb.grad, 2 * (a + b))
     with pytest.raises(ValueError):
-        shared_loss(a, np.ones((3, 2)))
+        shared_loss(ta, ad.Tensor(np.ones((3, 2))))
 
 
 def test_total_loss_and_breakdown():
