@@ -10,19 +10,19 @@ central finite differences in the tests.
 
 ``paired_attention`` computes both cross-attention directions in one op
 and keeps only each direction's probabilities and bool dropout mask on the
-tape.  From ``THREAD_CELLS`` score cells per direction it runs the second
-direction on one worker thread, on plain arrays (the tape is built and
-walked by the caller's thread alone), with dropout words from a copy of the
-generator moved ahead to where the serial order would start them.  Every
-GEMM keeps its full shape, so results are bit-identical to computing the
-directions one after the other, whatever the thread timing.
+tape.  Its dropout takes a Philox key, not a generator: Philox is counter
+based, so the key and a word's position name that word, and each direction
+opens its own stream at the position where the serial order starts it.
+From ``THREAD_CELLS`` score cells per direction the second direction runs
+on a thread of its own for the call, on plain arrays (the tape is built and
+walked by the caller's thread alone).  Every GEMM keeps its full shape, so
+results are bit-identical to computing the directions one after the other,
+whatever the thread timing.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -33,9 +33,7 @@ THREAD_CELLS = 2**18
 # Cells per row tile of elementwise passes that would otherwise allocate an
 # n x n temporary: the raw dropout words and the softmax row dot.
 TILE_CELLS = 2**14
-
-_worker: tuple[int, ThreadPoolExecutor] | None = None  # (pid, executor)
-_worker_lock = threading.Lock()
+LAYER_NORM_EPS = 1e-5
 
 
 class Tensor:
@@ -185,16 +183,14 @@ def sigmoid(a: Tensor) -> Tensor:
     return Tensor(s, (a,), back)
 
 
-def layer_norm(
-    a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5
-) -> Tensor:
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-row normalization with learnable gain/bias (shape (1, cols))."""
     d = a.value.shape[1]
     if gain.value.shape != (1, d) or bias.value.shape != (1, d):
         raise ValueError("layer_norm: gain/bias must be (1, cols)")
     mu = a.value.mean(axis=1, keepdims=True)
     var = a.value.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (a.value - mu) * inv
 
     def back(g):
@@ -230,7 +226,8 @@ def _dropped(probs: np.ndarray, keep: np.ndarray, inv: float) -> np.ndarray:
 
 def _attend(q, k, v, scale, inv, bitgen, threshold):
     """One direction's forward on plain arrays: (output, probabilities,
-    keep mask or None).  Builds no Tensor, so it may run on the worker."""
+    keep mask or None).  Builds no Tensor, so it may run on a second
+    thread."""
     probs = q @ k.T
     probs *= scale
     probs -= probs.max(axis=1, keepdims=True)
@@ -266,52 +263,20 @@ def _attend_back(g, q, k, v, scale, inv, probs, keep):
     return gp @ k, (q.T @ gp).T, dv
 
 
-def _skip(bitgen: np.random.Philox, words: int) -> None:
-    """Move ``bitgen`` ``words`` raw draws ahead, exactly as drawing them
-    would.  Philox makes words in blocks of four: the rest of the buffered
-    block is drawn, whole blocks are skipped by ``advance``, and the words
-    left over are drawn from the next block."""
-    before = bitgen.state
-    buffered = min(words, 4 - before["buffer_pos"])
-    bitgen.random_raw(buffered)
-    if words > buffered:
-        bitgen.advance((words - buffered) // 4)
-        bitgen.random_raw((words - buffered) % 4)
-        # advance() also drops the spare 32-bit half, which raw draws keep
-        state = bitgen.state
-        state["has_uint32"] = before["has_uint32"]
-        state["uinteger"] = before["uinteger"]
-        bitgen.state = state
-
-
-def _executor() -> ThreadPoolExecutor:
-    """This process's worker thread.  A forked child holds the parent's
-    executor, whose thread it does not have, so it starts its own."""
-    global _worker
-    with _worker_lock:
-        if _worker is None or _worker[0] != os.getpid():
-            _worker = (os.getpid(), ThreadPoolExecutor(1))
-        return _worker[1]
-
-
 def _pair(threaded: bool, fn, first: tuple, second: tuple) -> tuple:
-    """``(fn(*first), fn(*second))``, the second call on the worker thread
-    when ``threaded``."""
+    """``(fn(*first), fn(*second))``, the second call on a thread of its
+    own when ``threaded``."""
     if not threaded:
         return fn(*first), fn(*second)
-    later = _executor().submit(fn, *second)
-    try:
-        one = fn(*first)
-    finally:
-        two = later.result()
-    return one, two
+    with ThreadPoolExecutor(1) as pool:
+        later = pool.submit(fn, *second)
+        return fn(*first), later.result()
 
 
 def paired_attention(
     q_pos: Tensor, k_neg: Tensor, v_neg: Tensor,
     q_neg: Tensor, k_pos: Tensor, v_pos: Tensor,
-    scale: float, p: float, training: bool,
-    rng: np.random.Generator | None,
+    scale: float, p: float, training: bool, key: int | None,
 ) -> Tensor:
     """Both cross-attention directions, stacked by rows: each is
     ``dropout(row_softmax(scale * q @ k.T)) @ v``, and the result is
@@ -320,42 +285,40 @@ def paired_attention(
     direction's probabilities and bool keep-mask.
 
     Inverted dropout (survivors scaled by 1/(1-p), identity at inference)
-    reads raw Philox words: ``random()`` is ``(word >> 11) * 2**-53``, so
-    ``word >= ceil(p * 2**53) << 11`` keeps what ``rng.random(shape) >= p``
-    keeps, from the same words, at half the cost.
+    reads raw words of the Philox stream ``key`` names: ``random()`` is
+    ``(word >> 11) * 2**-53``, so ``word >= ceil(p * 2**53) << 11`` keeps
+    what ``Generator(Philox(key=key)).random(shape) >= p`` keeps, from the
+    same words, at half the cost.  The first direction draws the stream's
+    first words; the second opens it again past them (Philox makes words
+    in blocks of four, which ``advance`` skips), so its mask is the one the
+    serial order would draw.
 
     From ``THREAD_CELLS`` score cells per direction, the second direction's
-    forward and backward run on one worker thread while the first runs on
-    the caller's; numpy releases the GIL for BLAS, ufuncs and raw draws.
-    The worker draws from a copy of ``rng`` moved ahead by the first
-    direction's words, and ``rng`` ends where that copy ends, so the masks,
-    the results and ``rng``'s next draw never depend on thread timing."""
+    forward and backward run on a thread of their own while the first runs
+    on the caller's; numpy releases the GIL for BLAS, ufuncs and raw draws.
+    """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0,1), got {p}")
-    bitgen, threshold = None, None
-    if training and p != 0.0:
-        if rng is None or not isinstance(rng.bit_generator, np.random.Philox):
-            raise ValueError("training-mode dropout needs a Philox rng")
-        bitgen = rng.bit_generator
-        threshold = np.uint64(math.ceil(p * 2.0**53) << 11)
-    inv = 1.0 / (1.0 - p)
     first = (q_pos.value, k_neg.value, v_neg.value)
     second = (q_neg.value, k_pos.value, v_pos.value)
     words = len(first[0]) * len(first[1])
     threaded = min(words, len(second[0]) * len(second[1])) >= THREAD_CELLS
-    ahead = bitgen  # the second direction's words follow the first's
-    if threaded and bitgen is not None:
-        ahead = np.random.Philox(key=0)  # a keyless one reads OS entropy
-        ahead.state = bitgen.state
-        _skip(ahead, words)
+    streams, threshold = (None, None), None
+    if training and p != 0.0:
+        if key is None:
+            raise ValueError("training-mode dropout needs a key")
+        ahead = np.random.Philox(key=key)
+        ahead.advance(words // 4)
+        ahead.random_raw(words % 4)
+        streams = (np.random.Philox(key=key), ahead)
+        threshold = np.uint64(math.ceil(p * 2.0**53) << 11)
+    inv = 1.0 / (1.0 - p)
     (out1, probs1, keep1), (out2, probs2, keep2) = _pair(
         threaded,
         _attend,
-        (*first, scale, inv, bitgen, threshold),
-        (*second, scale, inv, ahead, threshold),
+        (*first, scale, inv, streams[0], threshold),
+        (*second, scale, inv, streams[1], threshold),
     )
-    if ahead is not bitgen:
-        bitgen.state = ahead.state
     split = len(out1)
 
     def back(g):

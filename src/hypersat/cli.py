@@ -244,8 +244,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if args.n > 12:
-        print("error: gradcheck supports n <= 12", file=sys.stderr)
+    if not 3 <= args.n <= 12:
+        print("error: gradcheck supports 3 <= n <= 12", file=sys.stderr)
         return 1
     inst = generate_random_3sat(args.n, round(4.3 * args.n), seed=args.seed)
     inst = assign_random_weights(inst, seed=args.seed)

@@ -28,7 +28,8 @@ from .autodiff import Tensor
 from .hypergraph import NormalizedOperator
 from .rng import make_rng
 
-LAYER_NORM_EPS = 1e-5
+# inverted-dropout probability of the cross-attention weights
+ATTENTION_DROPOUT = 0.1
 
 
 def round_half_up(x: float) -> int:
@@ -40,7 +41,6 @@ class ModelConfig:
     num_vars: int
     mode: str = "literal"  # "literal" | "variable"
     use_transformer: bool = True
-    attention_dropout: float = 0.1
     seed: int = 0
     # width overrides, None -> derived from num_vars
     d0: int | None = None
@@ -137,18 +137,17 @@ def cross_attention(
     lp: Tensor,
     ln: Tensor,
     leaves: dict[str, Tensor],
-    dropout_p: float = 0.0,
     training: bool = False,
-    rng: np.random.Generator | None = None,
+    key: int | None = None,
 ) -> Tensor:
     """Positive bank attends over the negative bank and vice versa, stacked
     as (2n, d) by one ``autodiff.paired_attention`` op, which leaves an
-    n x n float array and a bool mask per direction on the tape.  Its mask
-    compares raw Philox words with a threshold; ``rng.random()`` is the top
-    53 bits of the same word, so it drops what ``rng.random(shape) <
-    dropout_p`` would.  From n = 512 the negative-to-positive direction runs
-    on a second thread, from a copy of ``rng`` set to the words the serial
-    order would give it, so the result does not depend on thread timing."""
+    n x n float array and a bool mask per direction on the tape.  In
+    training it drops what ``Generator(Philox(key=key)).random(shape) <
+    ATTENTION_DROPOUT`` would, the positive-to-negative direction's cells
+    first.  From n = 512 the negative-to-positive direction runs on a
+    second thread, from the words the serial order would give it, so the
+    result does not depend on thread timing."""
     d = lp.value.shape[1]
     return ad.paired_attention(
         ad.matmul(lp, leaves["attn_q_pos"]),
@@ -158,9 +157,9 @@ def cross_attention(
         ad.matmul(lp, leaves["attn_k_pos"]),
         ad.matmul(lp, leaves["attn_v_pos"]),
         1.0 / math.sqrt(d),
-        dropout_p,
+        ATTENTION_DROPOUT,
         training,
-        rng,
+        key,
     )
 
 
@@ -169,20 +168,17 @@ def transformer_block(
     leaves: dict[str, Tensor],
     config: ModelConfig,
     training: bool = False,
-    rng: np.random.Generator | None = None,
+    key: int | None = None,
 ) -> Tensor:
     """Parallel cross-attention + FFN with residual:
     LN2(attn(LN1(x)) + FFN(LN1(x)) + LN1(x))."""
     n = config.num_vars
-    x = ad.layer_norm(l, leaves["ln1_gain"], leaves["ln1_bias"], LAYER_NORM_EPS)
+    x = ad.layer_norm(l, leaves["ln1_gain"], leaves["ln1_bias"])
     xp, xn = ad.split_rows(x, n)
-    a = cross_attention(xp, xn, leaves, config.attention_dropout, training, rng)
+    a = cross_attention(xp, xn, leaves, training, key)
     f = ad.matmul(ad.relu(ad.matmul(x, leaves["ffn1"])), leaves["ffn2"])
     return ad.layer_norm(
-        ad.add(ad.add(a, f), x),
-        leaves["ln2_gain"],
-        leaves["ln2_bias"],
-        LAYER_NORM_EPS,
+        ad.add(ad.add(a, f), x), leaves["ln2_gain"], leaves["ln2_bias"]
     )
 
 
@@ -200,9 +196,11 @@ def build_forward(
     params: dict[str, np.ndarray],
     config: ModelConfig,
     training: bool = False,
-    dropout_rng: np.random.Generator | None = None,
+    dropout_key: int | None = None,
 ) -> ForwardTensors:
-    """Run the network on the tape; returns live tensors for loss wiring."""
+    """Run the network on the tape; returns live tensors for loss wiring.
+    In training, the attention dropout draws from the Philox stream that
+    ``dropout_key`` names."""
     if s.matrix.shape[0] != config.num_nodes:
         raise ValueError(
             f"operator has {s.matrix.shape[0]} nodes, config expects "
@@ -213,7 +211,7 @@ def build_forward(
     h1 = conv_layer(s, leaves["embed"], leaves["conv1"], "relu")
     if config.mode == "literal":
         if config.use_transformer:
-            h1 = transformer_block(h1, leaves, config, training, dropout_rng)
+            h1 = transformer_block(h1, leaves, config, training, dropout_key)
         penult_pos, penult_neg = ad.split_rows(h1, n)
         logits = conv_layer(s, h1, leaves["conv2"], "identity")
         pairs = ad.reshape_pairs(logits, n)

@@ -49,21 +49,10 @@ class CompiledClauses:
     groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
 
 
-def _tautologies(instance: WcnfInstance) -> np.ndarray:
-    """Bool per clause: True where the clause holds both x and not x."""
-    t = instance.clause_table
-    # literals are distinct, so a (clause, variable) key repeats only when
-    # both polarities are present
-    keys = np.sort(t.clause_of * instance.num_vars + t.var)
-    out = np.zeros(instance.num_clauses, dtype=bool)
-    out[keys[1:][keys[1:] == keys[:-1]] // instance.num_vars] = True
-    return out
-
-
 def compile_clauses(instance: WcnfInstance) -> CompiledClauses:
     t = instance.clause_table
     arity = t.arity
-    arity[_tautologies(instance)] = 0
+    arity[t.tautology] = 0
     groups = []
     for a in np.unique(arity[arity > 0]):
         clauses = np.flatnonzero(arity == a)

@@ -4,7 +4,11 @@ All randomness in the package flows through Philox, a counter-based
 generator with a documented, platform-independent algorithm.  Streams are
 derived from a user seed plus integer stream labels via a splitmix-style
 mixer, so independent components (weight sampling, parameter init, dropout,
-assignment sampling) never share a stream.
+assignment sampling) never share a stream.  ``make_rng`` wraps a stream in
+a ``Generator``; the attention dropout takes the bare ``derive_key`` key
+instead, because a Philox key plus a position names any word of its
+stream, so each attention direction can open the stream where its words
+start.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from .hypergraph import (
 )
 from .model import ModelConfig, build_forward, init_params
 from .objective import LossBreakdown
-from .rng import make_rng
+from .rng import derive_key, make_rng
 from .wcnf import WcnfInstance, evaluate
 
 ADAM_BETA1 = 0.9
@@ -48,7 +48,6 @@ class SolveConfig:
     seed: int = 0
     mode: str = "literal"  # "literal" | "variable"
     use_transformer: bool = True
-    attention_dropout: float = 0.1
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -117,7 +116,6 @@ def _model_config(instance: WcnfInstance, config: SolveConfig) -> ModelConfig:
         num_vars=instance.num_vars,
         mode=config.mode,
         use_transformer=config.use_transformer,
-        attention_dropout=config.attention_dropout,
         seed=config.seed,
     )
 
@@ -157,10 +155,8 @@ def train(instance: WcnfInstance, config: SolveConfig) -> tuple[
     stall = 0
     epochs_run = 0
     for epoch in range(1, config.max_epochs + 1):
-        drop_rng = make_rng(config.seed, 0xD0, epoch)
-        ft = build_forward(
-            s, params, mconfig, training=True, dropout_rng=drop_rng
-        )
+        key = derive_key(config.seed, 0xD0, epoch)
+        ft = build_forward(s, params, mconfig, training=True, dropout_key=key)
         total_t, breakdown = _epoch_losses(ft, compiled, config.lam)
         if not np.isfinite(breakdown.total):
             raise FloatingPointError(
@@ -201,7 +197,6 @@ def gradient_errors(instance: WcnfInstance, seed: int) -> dict[str, float]:
     mconfig = ModelConfig(
         num_vars=instance.num_vars,
         seed=seed,
-        attention_dropout=0.0,
         d0=max(2, base.input_dim),
         d1=max(2, base.hidden_dim),
     )

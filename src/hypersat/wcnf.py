@@ -7,9 +7,10 @@ is the classic ``p wcnf n m`` format where every clause line starts with its
 weight; all clauses are soft (no "top" hard-clause weight).
 
 Each instance compiles its clauses once into a ``ClauseTable`` of flat
-literal arrays; the evaluator, the loss, the hypergraph and both oracles
-all read that table.  The local search also reads ``OccurrenceLists``, the
-same clauses as Python lists, built once per instance.
+literal arrays, which also marks the tautologies; the evaluator, the loss,
+the hypergraph and both oracles all read that table.  The local search
+also reads ``OccurrenceLists``, the same clauses as Python lists, built
+once per instance.
 """
 
 from __future__ import annotations
@@ -65,13 +66,15 @@ class ClauseTable:
 
     Clause j owns the literals ``start[j]:start[j + 1]``; literal l is
     variable ``var[l]`` (0-based), true when that variable equals
-    ``positive[l]``.
+    ``positive[l]``.  ``tautology[j]`` is True where clause j holds both x
+    and not x, so that no assignment leaves it unsatisfied.
     """
 
     var: np.ndarray  # int64, one per literal
     positive: np.ndarray  # bool, one per literal
     start: np.ndarray  # int64, num_clauses + 1 offsets
     weight: np.ndarray  # int64, one per clause
+    tautology: np.ndarray  # bool, one per clause
 
     @property
     def arity(self) -> np.ndarray:
@@ -88,7 +91,8 @@ class OccurrenceLists:
     """The clauses as Python lists, for a walk that reads one item at a time.
 
     ``occurs[v]`` lists ``(clause, polarity)`` for each literal of variable
-    v (0-based) in clause order, polarity 1 for ``+v`` and 0 for ``-v``;
+    v (0-based) in clause order, polarity 1 for ``+v`` and 0 for ``-v``,
+    leaving out tautologies, which no flip can break or mend;
     ``clause_vars[j]`` lists the variables of clause j in literal order.
     """
 
@@ -137,11 +141,21 @@ class WcnfInstance:
             dtype=np.int64,
             count=sum(arity),
         )
+        var = np.abs(lits) - 1
+        # literals are distinct, so a variable occurs twice in a clause only
+        # with both polarities, and sorted stably by variable those two
+        # literals are neighbours
+        order = np.argsort(var, kind="stable")
+        c = np.repeat(np.arange(len(arity)), arity)[order]
+        v = var[order]
+        tautology = np.zeros(len(arity), dtype=bool)
+        tautology[c[1:][(c[1:] == c[:-1]) & (v[1:] == v[:-1])]] = True
         return ClauseTable(
-            var=np.abs(lits) - 1,
+            var=var,
             positive=lits > 0,
             start=np.concatenate([[0], np.cumsum(arity)]).astype(np.int64),
             weight=np.array([cl.weight for cl in self.clauses], dtype=np.int64),
+            tautology=tautology,
         )
 
     @cached_property
@@ -149,11 +163,14 @@ class WcnfInstance:
         """The clause table as lists, built on first use; it needs n, which
         the table cannot tell when the last variables occur nowhere."""
         t = self.clause_table
-        order = np.argsort(t.var, kind="stable")
+        clause_of = t.clause_of
+        kept = np.flatnonzero(~t.tautology[clause_of])
+        order = kept[np.argsort(t.var[kept], kind="stable")]
         pairs = list(
-            zip(t.clause_of[order].tolist(), t.positive[order].astype(int).tolist())
+            zip(clause_of[order].tolist(), t.positive[order].astype(int).tolist())
         )
-        bounds = [0] + np.cumsum(np.bincount(t.var, minlength=self.num_vars)).tolist()
+        counts = np.bincount(t.var[kept], minlength=self.num_vars)
+        bounds = [0] + np.cumsum(counts).tolist()
         lit_var, starts = t.var.tolist(), t.start.tolist()
         return OccurrenceLists(
             occurs=[pairs[a:b] for a, b in zip(bounds, bounds[1:])],
@@ -189,6 +206,8 @@ def _parse_dimacs(text: str, weighted: bool, name: str) -> WcnfInstance:
         if line.startswith("%"):
             break  # SATLIB end-of-file marker
         if line.startswith("p"):
+            if num_vars is not None:
+                raise WcnfParseError("second header", lineno)
             parts = line.split()
             if weighted and len(parts) == 5 and parts[1] == fmt:
                 raise WcnfParseError(

@@ -1,7 +1,6 @@
 """Reverse-mode engine: per-op gradients against central differences plus
 structural properties of the graph walk."""
 
-import copy
 import itertools
 import sys
 import threading
@@ -14,7 +13,7 @@ from hypothesis import strategies as st
 
 from hypersat import autodiff as ad
 from hypersat.autodiff import Tensor
-from hypersat.rng import make_rng
+from hypersat.rng import derive_key, make_rng
 
 
 def rand(rng, *shape):
@@ -240,9 +239,11 @@ def reference_direction(q, k, v, scale, p, training, rng):
 
 def reference_attention(q_pos, k_neg, v_neg, q_neg, k_pos, v_pos, *rest):
     """Both directions of the unfused chain, one after the other, stacked
-    by a row concatenation."""
-    a = reference_direction(q_pos, k_neg, v_neg, *rest)
-    b = reference_direction(q_neg, k_pos, v_pos, *rest)
+    by a row concatenation; both draw from one generator made from the key."""
+    scale, p, training, key = rest
+    rng = None if key is None else np.random.Generator(np.random.Philox(key=key))
+    a = reference_direction(q_pos, k_neg, v_neg, scale, p, training, rng)
+    b = reference_direction(q_neg, k_pos, v_pos, scale, p, training, rng)
     split = a.value.shape[0]
 
     def back(g):
@@ -252,66 +253,48 @@ def reference_attention(q_pos, k_neg, v_neg, q_neg, k_pos, v_pos, *rest):
     return Tensor(np.vstack([a.value, b.value]), (a, b), back)
 
 
-def run_attention(op, arrays, weight, p, training, rng):
+def run_attention(op, arrays, weight, p, training, key):
     leaves = {name: Tensor(a) for name, a in arrays.items()}
-    out = op(*(leaves[name] for name in NAMES), 0.6, p, training, rng)
+    out = op(*(leaves[name] for name in NAMES), 0.6, p, training, key)
     ad.backward(weighted_sum(out, weight))
     return out.value, {name: t.grad for name, t in leaves.items()}
-
-
-def used_rng(seed, words):
-    """A dropout generator after some earlier draws: none, one word, or
-    three 32-bit halves (two words, and a spare half kept for later)."""
-    rng = make_rng(seed, 0xD0)
-    if words == 1:
-        rng.random()
-    elif words == 2:
-        rng.integers(2**32, size=3, dtype=np.uint32)
-    return rng
 
 
 @pytest.mark.parametrize("training", [True, False])
 @pytest.mark.parametrize("p", [0.0, 0.1, 0.5])
 def test_attention_matches_unfused_chain_bit_for_bit(p, training):
-    # first-direction score cells 1200, 1353, 42, 35: 0, 1, 2, 3 mod 4
+    # first-direction score cells 1200, 1353, 42, 35: 0, 1, 2, 3 mod 4, so
+    # the second direction's stream starts at every offset in a block
     shapes = [(30, 40), (33, 41), (6, 7), (5, 7)]
-    for (nq, nk), cutoff, tile, words in itertools.product(
-        shapes, (INLINE, THREADED), (None, 64), (0, 1, 2)
+    for (nq, nk), cutoff, tile in itertools.product(
+        shapes, (INLINE, THREADED), (None, 64)
     ):
-        arrays, weight = attention_inputs(nq + words, nq, nk)
-        fused_rng, ref_rng = used_rng(nk, words), used_rng(nk, words)
+        arrays, weight = attention_inputs(nq, nq, nk)
+        key = derive_key(nk, 0xD0)
         with cutoffs(cutoff, tile):
             fused = run_attention(
-                ad.paired_attention, arrays, weight, p, training, fused_rng
+                ad.paired_attention, arrays, weight, p, training, key
             )
-        ref = run_attention(
-            reference_attention, arrays, weight, p, training, ref_rng
-        )
-        case = (nq, nk, cutoff, tile, words)
+        ref = run_attention(reference_attention, arrays, weight, p, training, key)
+        case = (nq, nk, cutoff, tile)
         assert np.array_equal(fused[0], ref[0]), case
         for name in arrays:
             assert np.array_equal(fused[1][name], ref[1][name]), (name, case)
-        # the generator ends where the chain leaves it, spare half included
-        assert np.array_equal(
-            fused_rng.integers(2**32, size=2, dtype=np.uint32),
-            ref_rng.integers(2**32, size=2, dtype=np.uint32),
-        ), case
-        assert fused_rng.random() == ref_rng.random(), case
 
 
 def test_paired_attention_from_concurrent_callers():
-    # more calling threads than cores share the one worker thread, under
-    # frequent thread switches; every call must still give the chain's bits
+    # more calling threads than cores, each call with a thread of its own,
+    # under frequent thread switches; every call must still give the
+    # chain's bits
     arrays, weight = attention_inputs(4, nq=30, nk=40)
-    expected = run_attention(
-        reference_attention, arrays, weight, 0.5, True, make_rng(4, 0xD0)
-    )
+    key = derive_key(4, 0xD0)
+    expected = run_attention(reference_attention, arrays, weight, 0.5, True, key)
     results = []
 
     def call():
         for _ in range(5):
             results.append(run_attention(
-                ad.paired_attention, arrays, weight, 0.5, True, make_rng(4, 0xD0)
+                ad.paired_attention, arrays, weight, 0.5, True, key
             ))
 
     interval = sys.getswitchinterval()
@@ -333,10 +316,20 @@ def test_paired_attention_from_concurrent_callers():
             assert np.array_equal(grads[name], expected[1][name]), name
 
 
+def test_threaded_attention_leaves_no_thread_behind():
+    arrays, weight = attention_inputs(5, nq=30, nk=40)
+    before = threading.active_count()
+    with cutoffs(THREADED):
+        run_attention(
+            ad.paired_attention, arrays, weight, 0.5, True, derive_key(5, 0xD0)
+        )
+    assert threading.active_count() == before
+
+
 @given(SEEDS, st.sampled_from([0.0, 0.2, 0.6]))
 @settings(max_examples=15, deadline=None)
 def test_attention_grad(seed, p):
-    # a fresh generator from a fixed key per call keeps the mask fixed
+    # a fixed key keeps the mask fixed across calls
     shapes = {
         name: (3 if name.endswith("pos") else 4, 3 if name[0] == "v" else 2)
         for name in NAMES
@@ -344,7 +337,7 @@ def test_attention_grad(seed, p):
     check_unary(
         lambda l: ad.frobenius_sq(
             ad.paired_attention(
-                *(l[name] for name in NAMES), 0.7, p, True, make_rng(99, 0xB2)
+                *(l[name] for name in NAMES), 0.7, p, True, derive_key(99, 0xB2)
             )
         ),
         shapes,
@@ -352,13 +345,13 @@ def test_attention_grad(seed, p):
     )
 
 
-def uniform_attention(p, rng, rows=200, cols=200):
+def uniform_attention(p, key, rows=200, cols=200):
     # zero scores give probabilities 1/cols, and v = I shows the dropped
     # probabilities themselves as the output; both directions are rows x
     # cols, so the output is the (2 rows, cols) mask in drawing order
     q, k = Tensor(np.zeros((rows, 1))), Tensor(np.zeros((cols, 1)))
     v_neg, v_pos = Tensor(np.eye(cols)), Tensor(np.eye(cols))
-    out = ad.paired_attention(q, k, v_neg, q, k, v_pos, 1.0, p, True, rng)
+    out = ad.paired_attention(q, k, v_neg, q, k, v_pos, 1.0, p, True, key)
     return out, (v_neg, v_pos)
 
 
@@ -373,14 +366,14 @@ def uniform_attention(p, rng, rows=200, cols=200):
 )
 @settings(max_examples=60, deadline=None)
 def test_dropout_mask_equals_random_threshold(seed, rows, cols, p):
+    key = derive_key(seed, 0xB3)
+
     def check(p):
         for cutoff in (INLINE, THREADED):
-            fast, slow = make_rng(seed, 0xB3), make_rng(seed, 0xB3)
             with cutoffs(cutoff):
-                kept = uniform_attention(p, fast, rows, cols)[0].value != 0
-            assert np.array_equal(kept, slow.random((2 * rows, cols)) >= p)
-            # the same words are consumed, and none when p = 0
-            assert fast.random() == (slow if p else make_rng(seed, 0xB3)).random()
+                kept = uniform_attention(p, key, rows, cols)[0].value != 0
+            expected = make_rng(seed, 0xB3).random((2 * rows, cols)) >= p
+            assert np.array_equal(kept, expected)
 
     check(p)
     # the threshold itself is kept and the next float above it is not
@@ -392,17 +385,14 @@ def test_dropout_mask_equals_random_threshold(seed, rows, cols, p):
 def test_dropout_inference_is_identity():
     arrays, _ = attention_inputs(1)
     leaves = [Tensor(arrays[name]) for name in NAMES]
-    rng = make_rng(1, 0xB0)
-    untouched = copy.deepcopy(rng)
-    out = ad.paired_attention(*leaves, 0.6, 0.5, False, rng)
+    out = ad.paired_attention(*leaves, 0.6, 0.5, False, derive_key(1, 0xB0))
     undropped = ad.paired_attention(*leaves, 0.6, 0.0, True, None)
     assert np.array_equal(out.value, undropped.value)
-    assert rng.random() == untouched.random()  # nothing drawn
 
 
 def test_dropout_training_mask_and_scaling():
     p = 0.3
-    out, _ = uniform_attention(p, make_rng(2, 0xB0))
+    out, _ = uniform_attention(p, derive_key(2, 0xB0))
     vals = np.unique(out.value)
     assert set(np.round(vals, 12)) <= {0.0, round(1.0 / 200 / (1.0 - p), 12)}
     # dropped fraction near p, row sums preserved in expectation
@@ -412,13 +402,10 @@ def test_dropout_training_mask_and_scaling():
 
 def test_dropout_gradient_uses_same_mask():
     for cutoff in (INLINE, THREADED):
-        rng = make_rng(3, 0xB0)
         with cutoffs(cutoff):
-            out, (v_neg, v_pos) = uniform_attention(0.4, rng)
-            untouched = copy.deepcopy(rng)
+            out, (v_neg, v_pos) = uniform_attention(0.4, derive_key(3, 0xB0))
             g = np.ones_like(out.value)
             ad.backward(weighted_sum(out, g))
-        assert rng.random() == untouched.random()  # backward draws nothing
         # dv = dropped.T @ g per direction, and out is the dropped
         # probabilities themselves
         assert np.array_equal(v_neg.grad, out.value[:200].T @ g[:200])
@@ -426,14 +413,13 @@ def test_dropout_gradient_uses_same_mask():
 
 
 def test_dropout_requires_rng_when_training():
+    # the dropout stream is named by a key, which training needs
     q = Tensor(np.ones((2, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="key"):
         ad.paired_attention(*[q] * 6, 1.0, 0.5, True, None)
     for p in (1.0, -0.1):
         with pytest.raises(ValueError):
             ad.paired_attention(*[q] * 6, 1.0, p, False, None)
-    with pytest.raises(ValueError, match="Philox"):
-        ad.paired_attention(*[q] * 6, 1.0, 0.5, True, np.random.default_rng(0))
 
 
 def test_finite_diff_check_flags_wrong_gradient():

@@ -295,5 +295,8 @@ def test_gradcheck_passes_on_small_instance(capsys):
 
 
 def test_gradcheck_rejects_large_n(capsys):
-    code, _, err = run(["gradcheck", "--n", "40"], capsys)
-    assert code == 1
+    # n = 2 has too few variables for the 3-SAT instance gradcheck draws
+    for n in ("40", "2"):
+        code, _, err = run(["gradcheck", "--n", n], capsys)
+        assert code == 1
+        assert err == "error: gradcheck supports 3 <= n <= 12\n"

@@ -18,7 +18,7 @@ from hypersat.model import (
     init_params,
     round_half_up,
 )
-from hypersat.rng import make_rng
+from hypersat.rng import derive_key, make_rng
 from hypersat.wcnf import (
     Clause,
     WcnfInstance,
@@ -217,7 +217,7 @@ def test_training_dropout_changes_output():
     inst, s, config, params = rand_setup(n=8, m=28, seed=8, d0=4, d1=3)
     base = build_forward(s, params, config, training=False).y.value
     dropped = build_forward(
-        s, params, config, training=True, dropout_rng=make_rng(8, 0xD0, 1)
+        s, params, config, training=True, dropout_key=derive_key(8, 0xD0, 1)
     ).y.value
     assert not np.array_equal(base, dropped)
 

@@ -138,6 +138,16 @@ def test_local_search_stops_early_when_satisfied():
     assert res.steps < 100_000
 
 
+def test_local_search_greedy_step_ignores_tautologies():
+    # from x = (0, 0) the greedy step must flip x1 to satisfy (x1 or x2):
+    # flipping x1 cannot break (x1 or not x1), however heavy it is
+    inst = WcnfInstance(
+        2, (Clause((1, 2), 1), Clause((1, -1), 100), Clause((-2,), 1))
+    )
+    res = local_search(inst, max_steps=50, seed=1, noise=0.0)
+    assert res.best_unsat_weight == 0
+
+
 def test_local_search_rejects_negative_steps():
     inst = rand_instance(1)
     with pytest.raises(ValueError):
@@ -159,7 +169,8 @@ def test_local_search_checks_its_result(monkeypatch):
 
 def reference_walk(instance, max_steps, seed, noise=0.5):
     """The walk as first written: it samples with rng.choice over all m
-    clauses and keeps its state in numpy arrays."""
+    clauses and keeps its state in numpy arrays.  Tautologies are left out
+    of the occurrence lists, since no flip breaks or mends them."""
     n, m = instance.num_vars, instance.num_clauses
     rng = make_rng(seed, 0x15)
     assignment = rng.integers(0, 2, size=n).astype(np.int8)
@@ -167,6 +178,8 @@ def reference_walk(instance, max_steps, seed, noise=0.5):
     clause_vars = [[abs(l) - 1 for l in cl.literals] for cl in instance.clauses]
     occurs = [[] for _ in range(n)]
     for j, cl in enumerate(instance.clauses):
+        if any(-lit in cl.literals for lit in cl.literals):
+            continue
         for lit in cl.literals:
             occurs[abs(lit) - 1].append((j, int(lit > 0)))
     true_count = np.array(

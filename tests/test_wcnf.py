@@ -115,6 +115,13 @@ def test_parse_rejects_classic_header_with_top_weight():
     assert "top weight (10)" in str(info.value)
 
 
+def test_parse_rejects_a_second_header():
+    text = "p wcnf 3 2\n5 1 -2 3 0\np wcnf 1 2\n2 -1 0\n"
+    with pytest.raises(WcnfParseError, match="second header") as info:
+        parse_wcnf(text)
+    assert info.value.line == 3
+
+
 def test_parse_rejects_duplicate_literal():
     with pytest.raises(WcnfParseError, match="duplicate literal") as info:
         parse_wcnf("p wcnf 2 1\n3 1 1 0\n")
@@ -127,12 +134,14 @@ def test_occurrence_lists_mirror_the_clauses():
         4, (Clause((1, -2), 3), Clause((-1, 2, 3), 5), Clause((2, -2), 7))
     )
     occ = inst.occurrence_lists
+    # clause 2 is a tautology, which no flip can break or mend
     assert occ.occurs == [
         [(0, 1), (1, 0)],
-        [(0, 0), (1, 1), (2, 1), (2, 0)],
+        [(0, 0), (1, 1)],
         [(1, 1)],
         [],
     ]
+    assert inst.clause_table.tautology.tolist() == [False, False, True]
     assert occ.clause_vars == [[0, 1], [0, 1, 2], [1, 1]]
     assert occ.weight == [3, 5, 7]
 
@@ -157,6 +166,72 @@ def test_roundtrip_write_parse():
     inst = parse_wcnf(WCNF_SIMPLE, name="x")
     again = parse_wcnf(write_wcnf(inst), name="x")
     assert again == inst
+
+
+FUZZ_TEXTS = (
+    WCNF_SIMPLE,
+    "c two clauses span lines\np wcnf 4 3\n3 1 -2 0 7\n-4 2\n3 0\n1 4 0\n%\n0\n",
+)
+FUZZ_TOKENS = st.one_of(
+    st.integers(-6, 6).map(str),
+    st.sampled_from(
+        ["p", "c", "%", "wcnf", "cnf", "x", "1.5", str(2**53), "9" * 25, ""]
+    ),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def mutated_wcnf(draw):
+    """Valid WCNF text after a few random edits: lines and tokens dropped,
+    duplicated or replaced, and the header rewritten."""
+    lines = draw(st.sampled_from(FUZZ_TEXTS)).splitlines()
+    header = next(line.split() for line in lines if line.startswith("p"))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines)))
+        edit = draw(st.sampled_from(["line", "token", "header"]))
+        if edit == "header":
+            # the original header with one word changed or one added, put
+            # in place of a line or between two
+            words = list(header)
+            k = draw(st.integers(1, len(words)))
+            words[k:k + draw(st.integers(0, 1))] = [
+                draw(st.integers(0, 6).map(str) | FUZZ_TOKENS)
+            ]
+            lines[i:i + draw(st.integers(0, 1))] = [" ".join(words)]
+        elif edit == "line" or i == len(lines):
+            action = draw(st.sampled_from(["drop", "dup", "replace"]))
+            if action == "replace" or not lines:
+                lines[i:i + 1] = [draw(st.sampled_from(lines or [""]))]
+            elif action == "dup":
+                lines[i:i] = lines[i:i + 1]
+            else:
+                del lines[i:i + 1]
+        else:
+            tokens = lines[i].split()
+            j = draw(st.integers(0, len(tokens)))
+            action = draw(st.sampled_from(["drop", "dup", "replace"]))
+            if action == "drop":
+                del tokens[j:j + 1]
+            elif action == "dup":
+                tokens[j:j] = tokens[j:j + 1]
+            else:
+                tokens[j:j + 1] = [draw(FUZZ_TOKENS)]
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@given(mutated_wcnf())
+@settings(max_examples=1000, deadline=None)
+def test_mutated_text_parses_and_round_trips_or_reports_a_line(text):
+    # any other exception, from the parser or from deeper code, fails here
+    for parse in (parse_wcnf, parse_cnf):
+        try:
+            inst = parse(text)
+        except WcnfParseError as exc:
+            assert exc.line is None or 1 <= exc.line <= len(text.splitlines())
+        else:
+            assert parse_wcnf(write_wcnf(inst)) == inst
 
 
 def test_evaluate_counts_weights_exactly():
@@ -188,6 +263,9 @@ def test_batched_evaluate_matches_reference_loop(seed, n):
     batch = rng.integers(0, 3, size=(int(rng.integers(1, 6)), n))
     ev = evaluate(inst, batch)
     assert ev.sat_weight.shape == ev.unsat_weight.shape == (len(batch),)
+    assert inst.clause_table.tautology.tolist() == [
+        any(-lit in cl.literals for lit in cl.literals) for cl in inst.clauses
+    ]
     for row, values in enumerate(batch):
         sat, unsat, flags = reference_evaluate(inst, values)
         assert ev.sat_weight[row] == sat and ev.unsat_weight[row] == unsat
