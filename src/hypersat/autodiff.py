@@ -8,16 +8,18 @@ split_rows, reshape_pairs, row_softmax, relu, sigmoid, layer_norm,
 frobenius_sq, and ``paired_attention``); everything is checked against
 central finite differences in the tests.
 
-``paired_attention`` computes both cross-attention directions in one op
-and keeps only each direction's probabilities and bool dropout mask on the
-tape.  Its dropout takes a Philox key, not a generator: Philox is counter
+``paired_attention`` computes both cross-attention directions in one op,
+one row tile of about ``TILE_CELLS`` score cells at a time, and never holds
+an n x n float array: the tape keeps each direction's row max, row sum and
+bool dropout mask, and backward recomputes each tile's probabilities from
+them.  Its dropout takes a Philox key, not a generator: Philox is counter
 based, so the key and a word's position name that word, and each direction
 opens its own stream at the position where the serial order starts it.
 From ``THREAD_CELLS`` score cells per direction the second direction runs
 on a thread of its own for the call, on plain arrays (the tape is built and
-walked by the caller's thread alone).  Every GEMM keeps its full shape, so
-results are bit-identical to computing the directions one after the other,
-whatever the thread timing.
+walked by the caller's thread alone), with the same tiles, so results are
+bit-identical to computing the directions one after the other, whatever
+the thread timing.
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ import numpy as np
 # Score cells (rows x cols) per direction from which paired_attention runs
 # its two directions at once; below it the hand-off costs more than it saves.
 THREAD_CELLS = 2**18
-# Cells per row tile of elementwise passes that would otherwise allocate an
-# n x n temporary: the raw dropout words and the softmax row dot.
-TILE_CELLS = 2**14
+# Score cells per row tile of paired_attention, which holds a few tiles at
+# a time instead of n x n arrays.  One tile covers every op with n <= 362,
+# whose results are then bit-identical to whole-array computation.
+TILE_CELLS = 2**17
 LAYER_NORM_EPS = 1e-5
 
 
@@ -214,53 +217,80 @@ def frobenius_sq(a: Tensor) -> Tensor:
 def _row_tiles(rows: int, cols: int):
     """Row slices of about ``TILE_CELLS`` cells covering a rows x cols array."""
     step = max(1, TILE_CELLS // max(cols, 1))
-    return [slice(a, a + step) for a in range(0, rows, step)]
+    return [slice(a, min(a + step, rows)) for a in range(0, rows, step)]
 
 
-def _dropped(probs: np.ndarray, keep: np.ndarray, inv: float) -> np.ndarray:
-    """``probs * inv * keep`` with one n x n temporary instead of two."""
-    out = np.multiply(probs, inv)
-    out *= keep
-    return out
+def _probs(q, k, scale, out, top=None, total=None):
+    """Row softmax of ``scale * q @ k.T``, written into ``out``; returns the
+    row max and the row sum of the exponentials.  Given those of an earlier
+    call on the same rows, it recomputes that call's probabilities bit for
+    bit."""
+    np.matmul(q, k.T, out=out)
+    out *= scale
+    if top is None:
+        top = out.max(axis=1, keepdims=True)
+    out -= top
+    np.exp(out, out=out)
+    if total is None:
+        total = out.sum(axis=1, keepdims=True)
+    out /= total
+    return top, total
 
 
 def _attend(q, k, v, scale, inv, bitgen, threshold):
-    """One direction's forward on plain arrays: (output, probabilities,
-    keep mask or None).  Builds no Tensor, so it may run on a second
-    thread."""
-    probs = q @ k.T
-    probs *= scale
-    probs -= probs.max(axis=1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=1, keepdims=True)
-    if bitgen is None:
-        return probs @ v, probs, None
-    keep = np.empty(probs.shape, dtype=bool)
-    for rows in _row_tiles(*probs.shape):
-        np.greater_equal(
-            bitgen.random_raw(keep[rows].shape), threshold, out=keep[rows]
-        )
-    return _dropped(probs, keep, inv) @ v, probs, keep
+    """One direction's forward on plain arrays, one row tile at a time:
+    (output, row max, row sum, keep mask or None).  Builds no Tensor, so
+    it may run on a second thread."""
+    tiles = _row_tiles(len(q), len(k))
+    tile = np.empty((tiles[0].stop, len(k)))
+    out = np.empty((len(q), v.shape[1]))
+    top, total = np.empty((len(q), 1)), np.empty((len(q), 1))
+    keep = None if bitgen is None else np.empty((len(q), len(k)), dtype=bool)
+    for rows in tiles:
+        probs = tile[: rows.stop - rows.start]
+        top[rows], total[rows] = _probs(q[rows], k, scale, probs)
+        if keep is not None:
+            np.greater_equal(
+                bitgen.random_raw(probs.shape), threshold, out=keep[rows]
+            )
+            probs *= inv
+            probs *= keep[rows]
+        np.matmul(probs, v, out=out[rows])
+    return out, top, total, keep
 
 
-def _attend_back(g, q, k, v, scale, inv, probs, keep):
-    """One direction's backward on plain arrays: gradients of (q, k, v)."""
-    if keep is None:
-        dv = probs.T @ g
-        gp = g @ v.T
-    else:
-        gp = _dropped(probs, keep, inv)
-        dv = gp.T @ g
-        np.matmul(g, v.T, out=gp)  # the dropped probabilities are dead now
-        gp *= keep
-        gp *= inv
-    dot = np.empty((gp.shape[0], 1))
-    for rows in _row_tiles(*gp.shape):
-        dot[rows] = (gp[rows] * probs[rows]).sum(axis=1, keepdims=True)
-    gp -= dot
-    gp *= probs
-    gp *= scale
-    return gp @ k, (q.T @ gp).T, dv
+def _attend_back(g, q, k, v, scale, inv, top, total, keep):
+    """One direction's backward on plain arrays, recomputing each row
+    tile's probabilities: gradients of (q, k, v)."""
+    tiles = _row_tiles(len(q), len(k))
+    tile = np.empty((3, tiles[0].stop, len(k)))
+    dq = np.empty(q.shape)
+    dk = dv = None
+    for rows in tiles:
+        probs, spare, gp = tile[:, : rows.stop - rows.start]
+        _probs(q[rows], k, scale, probs, top[rows], total[rows])
+        dropped = probs
+        if keep is not None:
+            dropped = np.multiply(probs, inv, out=spare)
+            dropped *= keep[rows]
+        dv_rows = dropped.T @ g[rows]
+        np.matmul(g[rows], v.T, out=gp)
+        if keep is not None:
+            gp *= keep[rows]
+            gp *= inv
+        gp -= np.multiply(gp, probs, out=spare).sum(axis=1, keepdims=True)
+        gp *= probs
+        gp *= scale
+        np.matmul(gp, k, out=dq[rows])
+        dk_rows = (q[rows].T @ gp).T
+        # the first tile's products are kept as they are, so an op that
+        # fits in one tile gives the bits of the whole-array computation
+        if dv is None:
+            dv, dk = dv_rows, dk_rows
+        else:
+            dv += dv_rows
+            dk += dk_rows
+    return dq, dk, dv
 
 
 def _pair(threaded: bool, fn, first: tuple, second: tuple) -> tuple:
@@ -281,8 +311,11 @@ def paired_attention(
     """Both cross-attention directions, stacked by rows: each is
     ``dropout(row_softmax(scale * q @ k.T)) @ v``, and the result is
     bit-identical to that chain of ops for (q_pos, k_neg, v_neg), then for
-    (q_neg, k_pos, v_pos), then stacking the two.  The tape keeps only each
-    direction's probabilities and bool keep-mask.
+    (q_neg, k_pos, v_pos), then stacking the two, when one row tile of
+    ``TILE_CELLS`` covers a direction; with more tiles, each tile's GEMMs
+    are shorter and the k and v gradients sum over tiles, so results agree
+    to rounding.  The tape keeps only each direction's row max, row sum and
+    bool keep-mask; backward recomputes the probabilities tile by tile.
 
     Inverted dropout (survivors scaled by 1/(1-p), identity at inference)
     reads raw words of the Philox stream ``key`` names: ``random()`` is
@@ -313,7 +346,7 @@ def paired_attention(
         streams = (np.random.Philox(key=key), ahead)
         threshold = np.uint64(math.ceil(p * 2.0**53) << 11)
     inv = 1.0 / (1.0 - p)
-    (out1, probs1, keep1), (out2, probs2, keep2) = _pair(
+    (out1, *saved1), (out2, *saved2) = _pair(
         threaded,
         _attend,
         (*first, scale, inv, streams[0], threshold),
@@ -325,8 +358,8 @@ def paired_attention(
         grads = _pair(
             threaded,
             _attend_back,
-            (g[:split], *first, scale, inv, probs1, keep1),
-            (g[split:], *second, scale, inv, probs2, keep2),
+            (g[:split], *first, scale, inv, *saved1),
+            (g[split:], *second, scale, inv, *saved2),
         )
         for (q, k, v), (dq, dk, dv) in zip(
             ((q_pos, k_neg, v_neg), (q_neg, k_pos, v_pos)), grads

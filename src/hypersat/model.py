@@ -141,13 +141,14 @@ def cross_attention(
     key: int | None = None,
 ) -> Tensor:
     """Positive bank attends over the negative bank and vice versa, stacked
-    as (2n, d) by one ``autodiff.paired_attention`` op, which leaves an
-    n x n float array and a bool mask per direction on the tape.  In
-    training it drops what ``Generator(Philox(key=key)).random(shape) <
-    ATTENTION_DROPOUT`` would, the positive-to-negative direction's cells
-    first.  From n = 512 the negative-to-positive direction runs on a
-    second thread, from the words the serial order would give it, so the
-    result does not depend on thread timing."""
+    as (2n, d) by one ``autodiff.paired_attention`` op, which works in row
+    tiles and leaves only a row max, a row sum and, in training, a bool
+    n x n dropout mask per direction on the tape.  In training it drops what
+    ``Generator(Philox(key=key)).random(shape) < ATTENTION_DROPOUT``
+    would, the positive-to-negative direction's cells first.  From n = 512
+    the negative-to-positive direction runs on a second thread, from the
+    words the serial order would give it, so the result does not depend on
+    thread timing."""
     d = lp.value.shape[1]
     return ad.paired_attention(
         ad.matmul(lp, leaves["attn_q_pos"]),

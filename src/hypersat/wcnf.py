@@ -58,6 +58,9 @@ class Clause:
 
 # float64 holds every integer below 2^53 exactly
 MAX_TOTAL_WEIGHT = 2**53 - 1
+# the most variables a header may declare: variable indices fit a signed
+# 32-bit int, and the 2n literal nodes stay far inside the int64 indices
+MAX_VARS = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -225,6 +228,11 @@ def _parse_dimacs(text: str, weighted: bool, name: str) -> WcnfInstance:
                 raise WcnfParseError(f"malformed header {line!r}", lineno)
             if num_vars < 1 or num_clauses < 1:
                 raise WcnfParseError(f"malformed header {line!r}", lineno)
+            if num_vars > MAX_VARS:
+                raise WcnfParseError(
+                    f"{num_vars} variables exceed the limit of {MAX_VARS}",
+                    lineno,
+                )
             continue
         if num_vars is None:
             raise WcnfParseError("clause before header", lineno)

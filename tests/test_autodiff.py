@@ -1,9 +1,11 @@
 """Reverse-mode engine: per-op gradients against central differences plus
 structural properties of the graph walk."""
 
+import functools
 import itertools
 import sys
 import threading
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -277,9 +279,16 @@ def test_attention_matches_unfused_chain_bit_for_bit(p, training):
             )
         ref = run_attention(reference_attention, arrays, weight, p, training, key)
         case = (nq, nk, cutoff, tile)
-        assert np.array_equal(fused[0], ref[0]), case
+        # one tile gives the chain's GEMM shapes and so its bits; several
+        # tiles sum the GEMMs' k and v gradients, and the output and q
+        # gradient come from shorter GEMMs, so they agree to rounding
+        if tile is None:
+            same = np.array_equal
+        else:
+            same = functools.partial(np.allclose, rtol=1e-12, atol=1e-14)
+        assert same(fused[0], ref[0]), case
         for name in arrays:
-            assert np.array_equal(fused[1][name], ref[1][name]), (name, case)
+            assert same(fused[1][name], ref[1][name]), (name, case)
 
 
 def test_paired_attention_from_concurrent_callers():
@@ -326,6 +335,29 @@ def test_threaded_attention_leaves_no_thread_behind():
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("cutoff", [INLINE, THREADED], ids=["inline", "threaded"])
+def test_attention_holds_no_score_sized_float_array(cutoff):
+    # forward and backward at 1200 x 1200 score cells per direction work a
+    # row tile at a time: the peak of all they allocate, mask included,
+    # stays below one float64 array of the scores
+    arrays, weight = attention_inputs(6, nq=1200, nk=1200)
+    leaves = {name: Tensor(a) for name, a in arrays.items()}
+    tracemalloc.start()
+    try:
+        with cutoffs(cutoff):
+            out = ad.paired_attention(
+                *(leaves[name] for name in NAMES), 0.6, 0.5, True,
+                derive_key(6, 0xD0),
+            )
+            ad.backward(weighted_sum(out, weight))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(t.grad is not None for t in leaves.values())
+    # the two bool masks alone show that numpy's allocations are traced
+    assert 2 * 1200 * 1200 <= peak < 1200 * 1200 * 8
+
+
 @given(SEEDS, st.sampled_from([0.0, 0.2, 0.6]))
 @settings(max_examples=15, deadline=None)
 def test_attention_grad(seed, p):
@@ -369,8 +401,9 @@ def test_dropout_mask_equals_random_threshold(seed, rows, cols, p):
     key = derive_key(seed, 0xB3)
 
     def check(p):
-        for cutoff in (INLINE, THREADED):
-            with cutoffs(cutoff):
+        # a tile of 8 cells splits every direction with more than 8 cells
+        for cutoff, tile in itertools.product((INLINE, THREADED), (None, 8)):
+            with cutoffs(cutoff, tile):
                 kept = uniform_attention(p, key, rows, cols)[0].value != 0
             expected = make_rng(seed, 0xB3).random((2 * rows, cols)) >= p
             assert np.array_equal(kept, expected)

@@ -237,9 +237,19 @@ def reference_walk(instance, max_steps, seed, noise=0.5):
     return best_w, best_assignment, steps
 
 
+def assert_walks_like_reference(inst, max_steps, seed, noise):
+    best_w, best_assignment, steps = reference_walk(inst, max_steps, seed, noise)
+    res = local_search(inst, max_steps=max_steps, seed=seed, noise=noise)
+    assert res.best_unsat_weight == best_w
+    assert res.best_assignment.dtype == best_assignment.dtype == np.int8
+    assert np.array_equal(res.best_assignment, best_assignment)
+    assert res.steps == steps
+
+
 @st.composite
-def walk_instances(draw):
-    """Small instances with unit clauses, tautologies and weights up to 2^40."""
+def walk_instances(draw, tautology_odds=20):
+    """Small instances with unit clauses, tautologies (one clause in
+    ``tautology_odds``) and weights up to 2^40."""
     n = draw(st.integers(1, 12))
     clauses = []
     for _ in range(draw(st.integers(1, 30))):
@@ -247,7 +257,7 @@ def walk_instances(draw):
             st.lists(st.integers(1, n), min_size=1, max_size=min(n, 6), unique=True)
         )
         lits = [v if draw(st.booleans()) else -v for v in vars_]
-        if draw(st.integers(0, 19)) == 0:
+        if draw(st.integers(1, tautology_odds)) == 1:
             lits.append(-lits[0])  # tautology
         clauses.append(Clause(tuple(lits), draw(st.integers(1, 2**40))))
     return WcnfInstance(n, tuple(clauses))
@@ -265,12 +275,20 @@ def test_local_search_walks_like_rng_choice_over_all_clauses(
 ):
     # sampling among the unsatisfied clauses must draw the very clause that
     # rng.choice(m, p=...) draws; a change to numpy's choice fails here
-    best_w, best_assignment, steps = reference_walk(inst, max_steps, seed, noise)
-    res = local_search(inst, max_steps=max_steps, seed=seed, noise=noise)
-    assert res.best_unsat_weight == best_w
-    assert res.best_assignment.dtype == best_assignment.dtype == np.int8
-    assert np.array_equal(res.best_assignment, best_assignment)
-    assert res.steps == steps
+    assert_walks_like_reference(inst, max_steps, seed, noise)
+
+
+@given(
+    walk_instances(tautology_odds=2),
+    st.integers(50, 300),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_local_search_greedy_walk_with_many_tautologies(inst, max_steps, seed):
+    # every step greedy and about half the clauses tautologies, so the walk
+    # often weighs flipping a variable whose literal is the only true one
+    # of a tautology; counting that clause as broken picks another flip
+    assert_walks_like_reference(inst, max_steps, seed, 0.0)
 
 
 def mixed_arity_instance(seed, n=300, m=1200):

@@ -273,9 +273,11 @@ print(r.unsat_weight, float(r.final_loss.total).hex(), h.hexdigest())
 
 def test_threaded_solve_reproduces_recorded_results():
     # Recorded with numpy 2.4 / OpenBLAS on x86-64 from the directions run
-    # one after the other.  A GEMM with an n-long inner dimension gives
-    # other bits on two BLAS threads than on one, so the solve runs in a
-    # child process pinned to one, as the benchmark pins it.
+    # one after the other, each in row tiles of autodiff.TILE_CELLS score
+    # cells: n = 600 spans several, so the tile height moves these.  A GEMM
+    # with an n-long inner dimension gives other bits on two BLAS threads
+    # than on one, so the solve runs in a child process pinned to one, as
+    # the benchmark pins it.
     env = dict(os.environ)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
@@ -291,7 +293,7 @@ def test_threaded_solve_reproduces_recorded_results():
     assert done.stdout.split() == [
         "1587",
         "0x1.9d188af433884p+10",
-        "9275b6151137250dad8e2aee946ea6cd2760910d21bb42609fbc7342f5a065df",
+        "ee002564a8285a209d20e3250aa6001091ba8ae58bb44fb2be1e71ec7c39094d",
     ]
 
 

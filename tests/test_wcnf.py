@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hypersat.rng import make_rng
 from hypersat.wcnf import (
+    MAX_VARS,
     Clause,
     WcnfInstance,
     WcnfParseError,
@@ -120,6 +121,20 @@ def test_parse_rejects_a_second_header():
     with pytest.raises(WcnfParseError, match="second header") as info:
         parse_wcnf(text)
     assert info.value.line == 3
+
+
+def test_parse_rejects_variable_counts_over_the_cap():
+    # an over-cap header fails on its own line, before any clause is read
+    huge = 99999999999999999999
+    for text in (
+        f"p wcnf {huge} 1\n3 {huge} 0\n",
+        f"p wcnf {MAX_VARS + 1} 1\n3 1 -2 0\n",
+    ):
+        with pytest.raises(WcnfParseError, match="exceed") as info:
+            parse_wcnf(text)
+        assert info.value.line == 1
+    inst = parse_wcnf(f"p wcnf {MAX_VARS} 1\n3 -{MAX_VARS} 0\n")
+    assert inst.clause_table.var.tolist() == [MAX_VARS - 1]
 
 
 def test_parse_rejects_duplicate_literal():
