@@ -10,16 +10,16 @@ central finite differences in the tests.
 
 ``paired_attention`` computes both cross-attention directions in one op,
 one row tile of about ``TILE_CELLS`` score cells at a time, and never holds
-an n x n float array: the tape keeps each direction's row max, row sum and
-bool dropout mask, and backward recomputes each tile's probabilities from
-them.  Its dropout takes a Philox key, not a generator: Philox is counter
-based, so the key and a word's position name that word, and each direction
-opens its own stream at the position where the serial order starts it.
-From ``THREAD_CELLS`` score cells per direction the second direction runs
-on a thread of its own for the call, on plain arrays (the tape is built and
-walked by the caller's thread alone), with the same tiles, so results are
-bit-identical to computing the directions one after the other, whatever
-the thread timing.
+an n x n float array: the tape keeps each direction's row max and row sum,
+and backward recomputes each tile's probabilities from them.  Its dropout
+takes ``keep``, the two directions' masks packed to bits, which
+``dropout_masks`` draws from a Philox key; the draw needs nothing from the
+forward pass, so ``solver.train`` can make it one epoch ahead.  From
+``THREAD_CELLS`` score cells per direction the second direction (of the
+op, and of the mask draw) runs on a thread of its own for the call, on
+plain arrays (the tape is built and walked by the caller's thread alone),
+with the same tiles, so results are bit-identical to computing the
+directions one after the other, whatever the thread timing.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ THREAD_CELLS = 2**18
 # a time instead of n x n arrays.  One tile covers every op with n <= 362,
 # whose results are then bit-identical to whole-array computation.
 TILE_CELLS = 2**17
+# Raw words per draw of dropout_masks: a 128 KiB buffer draws as fast as
+# larger ones, and keeps the heap of the thread that draws the masks small.
+DRAW_CELLS = 2**14
 LAYER_NORM_EPS = 1e-5
 
 
@@ -214,9 +217,9 @@ def frobenius_sq(a: Tensor) -> Tensor:
     return Tensor(np.array((a.value**2).sum()), (a,), back)
 
 
-def _row_tiles(rows: int, cols: int):
-    """Row slices of about ``TILE_CELLS`` cells covering a rows x cols array."""
-    step = max(1, TILE_CELLS // max(cols, 1))
+def _row_tiles(rows: int, cols: int, cells: int):
+    """Row slices of about ``cells`` cells covering a rows x cols array."""
+    step = max(1, cells // max(cols, 1))
     return [slice(a, min(a + step, rows)) for a in range(0, rows, step)]
 
 
@@ -237,32 +240,33 @@ def _probs(q, k, scale, out, top=None, total=None):
     return top, total
 
 
-def _attend(q, k, v, scale, inv, bitgen, threshold):
+def _unpacked(keep, rows, cols):
+    """Rows of a packed keep mask as a bool array of ``cols`` columns."""
+    return np.unpackbits(keep[rows], axis=1, count=cols).view(bool)
+
+
+def _attend(q, k, v, scale, inv, keep):
     """One direction's forward on plain arrays, one row tile at a time:
-    (output, row max, row sum, keep mask or None).  Builds no Tensor, so
-    it may run on a second thread."""
-    tiles = _row_tiles(len(q), len(k))
+    (output, row max, row sum).  Builds no Tensor, so it may run on a
+    second thread."""
+    tiles = _row_tiles(len(q), len(k), TILE_CELLS)
     tile = np.empty((tiles[0].stop, len(k)))
     out = np.empty((len(q), v.shape[1]))
     top, total = np.empty((len(q), 1)), np.empty((len(q), 1))
-    keep = None if bitgen is None else np.empty((len(q), len(k)), dtype=bool)
     for rows in tiles:
         probs = tile[: rows.stop - rows.start]
         top[rows], total[rows] = _probs(q[rows], k, scale, probs)
         if keep is not None:
-            np.greater_equal(
-                bitgen.random_raw(probs.shape), threshold, out=keep[rows]
-            )
             probs *= inv
-            probs *= keep[rows]
+            probs *= _unpacked(keep, rows, len(k))
         np.matmul(probs, v, out=out[rows])
-    return out, top, total, keep
+    return out, top, total
 
 
-def _attend_back(g, q, k, v, scale, inv, top, total, keep):
+def _attend_back(g, q, k, v, scale, inv, keep, top, total):
     """One direction's backward on plain arrays, recomputing each row
     tile's probabilities: gradients of (q, k, v)."""
-    tiles = _row_tiles(len(q), len(k))
+    tiles = _row_tiles(len(q), len(k), TILE_CELLS)
     tile = np.empty((3, tiles[0].stop, len(k)))
     dq = np.empty(q.shape)
     dk = dv = None
@@ -271,12 +275,13 @@ def _attend_back(g, q, k, v, scale, inv, top, total, keep):
         _probs(q[rows], k, scale, probs, top[rows], total[rows])
         dropped = probs
         if keep is not None:
+            kept = _unpacked(keep, rows, len(k))
             dropped = np.multiply(probs, inv, out=spare)
-            dropped *= keep[rows]
+            dropped *= kept
         dv_rows = dropped.T @ g[rows]
         np.matmul(g[rows], v.T, out=gp)
         if keep is not None:
-            gp *= keep[rows]
+            gp *= kept
             gp *= inv
         gp -= np.multiply(gp, probs, out=spare).sum(axis=1, keepdims=True)
         gp *= probs
@@ -303,10 +308,54 @@ def _pair(threaded: bool, fn, first: tuple, second: tuple) -> tuple:
         return fn(*first), later.result()
 
 
+def dropout_masks(
+    key: int,
+    first_shape: tuple[int, int],
+    second_shape: tuple[int, int],
+    p: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The keep masks of both ``paired_attention`` directions, packed to
+    bits along rows (``np.packbits(mask, axis=1)``).
+
+    A cell is kept when its raw word of the Philox stream ``key`` names is
+    at least ``ceil(p * 2**53) << 11``: ``random()`` is
+    ``(word >> 11) * 2**-53``, so this keeps what
+    ``Generator(Philox(key=key)).random(shape) >= p`` keeps, from the same
+    words, at half the cost.  The first mask takes the stream's first
+    words; the second opens the stream again past them (Philox makes words
+    in blocks of four, which ``advance`` skips), so it is the mask the
+    serial order would draw.  Words are drawn one row tile of about
+    ``DRAW_CELLS`` at a time, so the draw holds no n x n array but the
+    packed masks.  From ``THREAD_CELLS`` cells per mask, as in
+    ``paired_attention``, the second mask is drawn on a thread of its own.
+    The result depends on the key alone, whatever thread draws it."""
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"dropout probability must be in [0,1), got {p}")
+    threshold = np.uint64(math.ceil(p * 2.0**53) << 11)
+
+    def draw(rows, cols, skip):
+        bitgen = np.random.Philox(key=key)
+        bitgen.advance(skip // 4)
+        bitgen.random_raw(skip % 4)
+        packed = np.empty((rows, -(-cols // 8)), dtype=np.uint8)
+        for tile in _row_tiles(rows, cols, DRAW_CELLS):
+            words = bitgen.random_raw((tile.stop - tile.start, cols))
+            packed[tile] = np.packbits(words >= threshold, axis=1)
+        return packed
+
+    cells = first_shape[0] * first_shape[1]
+    return _pair(
+        min(cells, second_shape[0] * second_shape[1]) >= THREAD_CELLS,
+        draw,
+        (*first_shape, 0),
+        (*second_shape, cells),
+    )
+
+
 def paired_attention(
     q_pos: Tensor, k_neg: Tensor, v_neg: Tensor,
     q_neg: Tensor, k_pos: Tensor, v_pos: Tensor,
-    scale: float, p: float, training: bool, key: int | None,
+    scale: float, p: float, keep: tuple[np.ndarray, np.ndarray] | None,
 ) -> Tensor:
     """Both cross-attention directions, stacked by rows: each is
     ``dropout(row_softmax(scale * q @ k.T)) @ v``, and the result is
@@ -314,43 +363,37 @@ def paired_attention(
     (q_neg, k_pos, v_pos), then stacking the two, when one row tile of
     ``TILE_CELLS`` covers a direction; with more tiles, each tile's GEMMs
     are shorter and the k and v gradients sum over tiles, so results agree
-    to rounding.  The tape keeps only each direction's row max, row sum and
-    bool keep-mask; backward recomputes the probabilities tile by tile.
+    to rounding.  The tape keeps only each direction's row max and row sum
+    besides ``keep``; backward recomputes the probabilities tile by tile.
 
-    Inverted dropout (survivors scaled by 1/(1-p), identity at inference)
-    reads raw words of the Philox stream ``key`` names: ``random()`` is
-    ``(word >> 11) * 2**-53``, so ``word >= ceil(p * 2**53) << 11`` keeps
-    what ``Generator(Philox(key=key)).random(shape) >= p`` keeps, from the
-    same words, at half the cost.  The first direction draws the stream's
-    first words; the second opens it again past them (Philox makes words
-    in blocks of four, which ``advance`` skips), so its mask is the one the
-    serial order would draw.
+    Inverted dropout: ``keep`` is the pair of packed masks that
+    ``dropout_masks`` draws for these shapes, and survivors are scaled by
+    1/(1-p); ``None`` (inference) drops nothing.  Each tile unpacks its
+    rows of the mask when it needs them.
 
     From ``THREAD_CELLS`` score cells per direction, the second direction's
     forward and backward run on a thread of their own while the first runs
-    on the caller's; numpy releases the GIL for BLAS, ufuncs and raw draws.
+    on the caller's; numpy releases the GIL for BLAS and ufuncs.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0,1), got {p}")
     first = (q_pos.value, k_neg.value, v_neg.value)
     second = (q_neg.value, k_pos.value, v_pos.value)
-    words = len(first[0]) * len(first[1])
-    threaded = min(words, len(second[0]) * len(second[1])) >= THREAD_CELLS
-    streams, threshold = (None, None), None
-    if training and p != 0.0:
-        if key is None:
-            raise ValueError("training-mode dropout needs a key")
-        ahead = np.random.Philox(key=key)
-        ahead.advance(words // 4)
-        ahead.random_raw(words % 4)
-        streams = (np.random.Philox(key=key), ahead)
-        threshold = np.uint64(math.ceil(p * 2.0**53) << 11)
+    keep = (None, None) if keep is None else keep
+    for (q, k, _), mask in zip((first, second), keep):
+        if mask is not None and mask.shape != (len(q), -(-len(k) // 8)):
+            raise ValueError(
+                f"keep mask {mask.shape} does not pack {len(q)} x {len(k)}"
+            )
+    threaded = min(
+        len(first[0]) * len(first[1]), len(second[0]) * len(second[1])
+    ) >= THREAD_CELLS
     inv = 1.0 / (1.0 - p)
     (out1, *saved1), (out2, *saved2) = _pair(
         threaded,
         _attend,
-        (*first, scale, inv, streams[0], threshold),
-        (*second, scale, inv, streams[1], threshold),
+        (*first, scale, inv, keep[0]),
+        (*second, scale, inv, keep[1]),
     )
     split = len(out1)
 
@@ -358,8 +401,8 @@ def paired_attention(
         grads = _pair(
             threaded,
             _attend_back,
-            (g[:split], *first, scale, inv, *saved1),
-            (g[split:], *second, scale, inv, *saved2),
+            (g[:split], *first, scale, inv, keep[0], *saved1),
+            (g[split:], *second, scale, inv, keep[1], *saved2),
         )
         for (q, k, v), (dq, dk, dv) in zip(
             ((q_pos, k_neg, v_neg), (q_neg, k_pos, v_pos)), grads

@@ -107,6 +107,11 @@ def _solve_config(args, seed: int) -> SolveConfig:
 
 
 def cmd_solve(args) -> int:
+    try:
+        config = _solve_config(args, args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     records = []
     out = open(args.out, "w") if args.out else None
     for path in _expand_inputs(args.inputs):
@@ -115,7 +120,6 @@ def cmd_solve(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             continue
-        config = _solve_config(args, args.seed)
         result = solve(inst, config)
         rec = result.to_dict()
         records.append(rec)

@@ -14,6 +14,12 @@ attention.
 
 Projections are applied on the right (Q = L @ W_Q etc.), keeping rows as
 tokens.  ReLU after conv layer 1, identity on the logit layer.
+
+A training forward pass takes the attention's dropout masks as an argument
+instead of drawing them: ``dropout_masks`` makes them from a Philox key,
+packed to bits, and ``solver.train`` draws each epoch's (one epoch ahead,
+on a thread of its own, below ``THREAD_CELLS`` score cells);
+``paired_attention`` takes them as ``keep``.
 """
 
 from __future__ import annotations
@@ -32,6 +38,11 @@ from .rng import make_rng
 ATTENTION_DROPOUT = 0.1
 
 
+def check_mode(mode: str) -> None:
+    if mode not in ("literal", "variable"):
+        raise ValueError(f"mode must be 'literal' or 'variable', got {mode!r}")
+
+
 def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
@@ -45,6 +56,13 @@ class ModelConfig:
     # width overrides, None -> derived from num_vars
     d0: int | None = None
     d1: int | None = None
+
+    def __post_init__(self):
+        check_mode(self.mode)
+
+    @property
+    def has_attention(self) -> bool:
+        return self.mode == "literal" and self.use_transformer
 
     @property
     def input_dim(self) -> int:
@@ -81,7 +99,7 @@ def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
         "conv1": (d0, d1),
         "conv2": (d1, 1),
     }
-    if config.mode == "literal" and config.use_transformer:
+    if config.has_attention:
         for bank in ("pos", "neg"):
             for proj in ("q", "k", "v"):
                 shapes[f"attn_{proj}_{bank}"] = (d1, d1)
@@ -137,18 +155,16 @@ def cross_attention(
     lp: Tensor,
     ln: Tensor,
     leaves: dict[str, Tensor],
-    training: bool = False,
-    key: int | None = None,
+    keep: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Tensor:
     """Positive bank attends over the negative bank and vice versa, stacked
     as (2n, d) by one ``autodiff.paired_attention`` op, which works in row
-    tiles and leaves only a row max, a row sum and, in training, a bool
-    n x n dropout mask per direction on the tape.  In training it drops what
-    ``Generator(Philox(key=key)).random(shape) < ATTENTION_DROPOUT``
-    would, the positive-to-negative direction's cells first.  From n = 512
-    the negative-to-positive direction runs on a second thread, from the
-    words the serial order would give it, so the result does not depend on
-    thread timing."""
+    tiles and leaves only a row max and a row sum per direction on the
+    tape.  In training, ``keep`` holds the two directions' packed dropout
+    masks (``autodiff.dropout_masks`` with ``ATTENTION_DROPOUT``, the
+    positive-to-negative direction's mask first); ``None`` drops nothing.  From
+    n = 512 the negative-to-positive direction runs on a second thread, so
+    both cores work, and the result does not depend on thread timing."""
     d = lp.value.shape[1]
     return ad.paired_attention(
         ad.matmul(lp, leaves["attn_q_pos"]),
@@ -159,8 +175,7 @@ def cross_attention(
         ad.matmul(lp, leaves["attn_v_pos"]),
         1.0 / math.sqrt(d),
         ATTENTION_DROPOUT,
-        training,
-        key,
+        keep,
     )
 
 
@@ -168,19 +183,27 @@ def transformer_block(
     l: Tensor,
     leaves: dict[str, Tensor],
     config: ModelConfig,
-    training: bool = False,
-    key: int | None = None,
+    keep: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Tensor:
     """Parallel cross-attention + FFN with residual:
     LN2(attn(LN1(x)) + FFN(LN1(x)) + LN1(x))."""
     n = config.num_vars
     x = ad.layer_norm(l, leaves["ln1_gain"], leaves["ln1_bias"])
     xp, xn = ad.split_rows(x, n)
-    a = cross_attention(xp, xn, leaves, training, key)
+    a = cross_attention(xp, xn, leaves, keep)
     f = ad.matmul(ad.relu(ad.matmul(x, leaves["ffn1"])), leaves["ffn2"])
     return ad.layer_norm(
         ad.add(ad.add(a, f), x), leaves["ln2_gain"], leaves["ln2_bias"]
     )
+
+
+def dropout_masks(
+    config: ModelConfig, key: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The attention's packed keep masks for one training forward pass,
+    drawn from the Philox stream ``key`` names."""
+    n = config.num_vars
+    return ad.dropout_masks(key, (n, n), (n, n), ATTENTION_DROPOUT)
 
 
 def _first_column(a: Tensor) -> Tensor:
@@ -197,22 +220,26 @@ def build_forward(
     params: dict[str, np.ndarray],
     config: ModelConfig,
     training: bool = False,
-    dropout_key: int | None = None,
+    dropout: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ForwardTensors:
     """Run the network on the tape; returns live tensors for loss wiring.
-    In training, the attention dropout draws from the Philox stream that
-    ``dropout_key`` names."""
+    Training a model with attention needs ``dropout``, the attention's two
+    packed keep masks (``dropout_masks``); at inference nothing is
+    dropped."""
     if s.matrix.shape[0] != config.num_nodes:
         raise ValueError(
             f"operator has {s.matrix.shape[0]} nodes, config expects "
             f"{config.num_nodes} ({config.mode} mode)"
         )
+    if training and config.has_attention and dropout is None:
+        raise ValueError("training with attention needs its dropout masks")
     leaves = {name: Tensor(arr) for name, arr in params.items()}
     n = config.num_vars
     h1 = conv_layer(s, leaves["embed"], leaves["conv1"], "relu")
     if config.mode == "literal":
         if config.use_transformer:
-            h1 = transformer_block(h1, leaves, config, training, dropout_key)
+            keep = dropout if training else None
+            h1 = transformer_block(h1, leaves, config, keep)
         penult_pos, penult_neg = ad.split_rows(h1, n)
         logits = conv_layer(s, h1, leaves["conv2"], "identity")
         pairs = ad.reshape_pairs(logits, n)

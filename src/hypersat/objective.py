@@ -41,12 +41,15 @@ class CompiledClauses:
 
     For each arity group: ``var_idx`` is (g, a) 0-based variable indices,
     ``positive`` is the (g, a) polarity mask, ``weights`` is (g,).
+    ``variables`` is every group's ``var_idx`` flattened and concatenated,
+    the order in which the gradient is scattered.
     Tautologies (x or not x) are left out: no assignment leaves them
     unsatisfied, but their product (1 - y) * y is positive inside (0, 1).
     """
 
     num_vars: int
     groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    variables: np.ndarray
 
 
 def compile_clauses(instance: WcnfInstance) -> CompiledClauses:
@@ -60,7 +63,13 @@ def compile_clauses(instance: WcnfInstance) -> CompiledClauses:
         groups.append(
             (t.var[lits], t.positive[lits], t.weight[clauses].astype(np.float64))
         )
-    return CompiledClauses(num_vars=instance.num_vars, groups=tuple(groups))
+    return CompiledClauses(
+        num_vars=instance.num_vars,
+        groups=tuple(groups),
+        variables=np.concatenate(
+            [np.zeros(0, dtype=np.intp)] + [g[0].reshape(-1) for g in groups]
+        ),
+    )
 
 
 def loss_and_grad(
@@ -68,36 +77,33 @@ def loss_and_grad(
 ) -> tuple[float, np.ndarray]:
     """The task loss of a probability vector and its gradient.
 
-    Per arity group, the clause factors are multiplied left to right into
-    prefix products, as ``prod(axis=1)`` multiplies them, so a clause's
-    product is its last prefix times its last factor.  The gradient of a
-    factor is weight * prefix * suffix, exact even at 0/1, and one
-    ``bincount`` over all groups scatters it to the variables in the order
-    ``np.add.at`` would."""
+    Per arity group, ``cumprod`` multiplies the clause factors left to
+    right into prefix products, as ``prod(axis=1)`` multiplies them, so a
+    clause's product is its last prefix times its last factor.  The
+    gradient of a factor is weight * prefix * suffix, exact even at 0/1,
+    and one ``bincount`` over all groups scatters it to the variables in
+    the order ``np.add.at`` would."""
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if y.shape[0] != compiled.num_vars:
         raise ValueError(
             f"expected {compiled.num_vars} probabilities, got {y.shape[0]}"
         )
     loss = 0.0
-    var_rows, dy_rows = [], []
+    dy_rows = []
     for var_idx, positive, weights in compiled.groups:
         vals = y[var_idx]
         f = np.where(positive, 1.0 - vals, vals)  # (g, a)
-        a = f.shape[1]
         prefix = np.ones_like(f)
         suffix = np.ones_like(f)
-        for k in range(1, a):
-            prefix[:, k] = prefix[:, k - 1] * f[:, k - 1]
-            suffix[:, a - 1 - k] = suffix[:, a - k] * f[:, a - k]
+        np.cumprod(f[:, :-1], axis=1, out=prefix[:, 1:])
+        np.cumprod(f[:, :0:-1], axis=1, out=suffix[:, -2::-1])
         loss += float(weights @ (prefix[:, -1] * f[:, -1]))
         dfactor = weights[:, None] * prefix * suffix
-        var_rows.append(var_idx.reshape(-1))
         dy_rows.append(np.where(positive, -dfactor, dfactor).reshape(-1))
-    if not var_rows:  # every clause is a tautology
+    if not dy_rows:  # every clause is a tautology
         return loss, np.zeros(compiled.num_vars)
     grad = np.bincount(
-        np.concatenate(var_rows),
+        compiled.variables,
         weights=np.concatenate(dy_rows),
         minlength=compiled.num_vars,
     )

@@ -6,9 +6,10 @@ derived from a user seed plus integer stream labels via a splitmix-style
 mixer, so independent components (weight sampling, parameter init, dropout,
 assignment sampling) never share a stream.  ``make_rng`` wraps a stream in
 a ``Generator``; the attention dropout takes the bare ``derive_key`` key
-instead, because a Philox key plus a position names any word of its
-stream, so each attention direction can open the stream where its words
-start.
+instead: ``autodiff.dropout_masks`` reads raw words of its stream and packs
+the keep masks to bits, and because the masks depend on the key alone,
+``solver.train`` may draw each epoch's one epoch ahead on a thread of its
+own.
 """
 
 from __future__ import annotations

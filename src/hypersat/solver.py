@@ -2,7 +2,12 @@
 probabilistic rounding to Boolean assignments.
 
 Training minimizes task + lambda * shared per epoch (dropout on, fresh
-mask per epoch).  The training state is the model's flat parameter vector
+masks per epoch).  A model with attention below ``THREAD_CELLS`` score
+cells draws each epoch's dropout masks on a thread of the solve's own while
+the epoch before trains, on the core its attention leaves idle; larger
+models draw them at the epoch's start, two threads at once.  The masks are
+a function of the seed and the epoch alone, so results do not depend on
+thread timing or on where they were drawn.  The training state is the model's flat parameter vector
 and Adam's two moment vectors of the same layout: each epoch gathers the
 leaf gradients into one vector, and Adam is a few vector operations on it.
 The best-total-loss parameters are kept as one copy of the vector; the
@@ -14,6 +19,9 @@ the probability vector and keeps the one with the least unsatisfied weight
 
 from __future__ import annotations
 
+import math
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +33,13 @@ from .hypergraph import (
     build_variable_hypergraph,
     normalized_operator,
 )
-from .model import ModelConfig, build_forward, init_params
+from .model import (
+    ModelConfig,
+    build_forward,
+    check_mode,
+    dropout_masks,
+    init_params,
+)
 from .objective import LossBreakdown
 from .rng import derive_key, make_rng
 from .wcnf import WcnfInstance, evaluate
@@ -54,6 +68,9 @@ class SolveConfig:
             raise ValueError("learning_rate must be > 0")
         if self.num_samples < 1:
             raise ValueError("num_samples must be >= 1")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        check_mode(self.mode)
 
 
 @dataclass(frozen=True)
@@ -154,32 +171,56 @@ def train(instance: WcnfInstance, config: SolveConfig) -> tuple[
     best_flat = flat.copy()
     stall = 0
     epochs_run = 0
-    for epoch in range(1, config.max_epochs + 1):
-        key = derive_key(config.seed, 0xD0, epoch)
-        ft = build_forward(s, params, mconfig, training=True, dropout_key=key)
-        total_t, breakdown = _epoch_losses(ft, compiled, config.lam)
-        if not np.isfinite(breakdown.total):
-            raise FloatingPointError(
-                f"non-finite loss at epoch {epoch}: {breakdown}"
+
+    def draw(epoch):
+        return dropout_masks(mconfig, derive_key(config.seed, 0xD0, epoch))
+
+    # below THREAD_CELLS the attention leaves the second core idle, so each
+    # epoch's masks are drawn there while the epoch before trains; from it
+    # both cores run the attention, and dropout_masks draws the two masks
+    # on two threads at the epoch's start.  Leaving the block waits for a
+    # draw still running and drops it.
+    ahead_of_time = (
+        mconfig.has_attention and mconfig.num_vars**2 < ad.THREAD_CELLS
+    )
+    with (
+        ThreadPoolExecutor(1) if ahead_of_time else nullcontext()
+    ) as pool:
+        ahead = pool.submit(draw, 1) if pool else None
+        for epoch in range(1, config.max_epochs + 1):
+            masks = None
+            if ahead:
+                masks = ahead.result()
+                if epoch < config.max_epochs:
+                    ahead = pool.submit(draw, epoch + 1)
+            elif mconfig.has_attention:
+                masks = draw(epoch)
+            ft = build_forward(
+                s, params, mconfig, training=True, dropout=masks
             )
-        trace.append(breakdown)
-        epochs_run = epoch
-        if best - breakdown.total > EARLY_STOP_TOLERANCE:
-            best = breakdown.total
-            np.copyto(best_flat, flat)
-            stall = 0
-        else:
-            stall += 1
-            if stall >= EARLY_STOP_PATIENCE:
-                break
-        ad.backward(total_t)
-        # the leaves follow the parameters' order, which is flat's layout
-        grad = np.concatenate([t.grad.ravel() for t in ft.leaves.values()])
-        adam_step(flat, grad, m, v, epoch, config.learning_rate)
-        # free this epoch's tape, with its n x n arrays, before the next
-        # forward builds another; an early-stop break skips this line
-        ft = total_t = None
-    ft = total_t = None
+            total_t, breakdown = _epoch_losses(ft, compiled, config.lam)
+            if not np.isfinite(breakdown.total):
+                raise FloatingPointError(
+                    f"non-finite loss at epoch {epoch}: {breakdown}"
+                )
+            trace.append(breakdown)
+            epochs_run = epoch
+            if best - breakdown.total > EARLY_STOP_TOLERANCE:
+                best = breakdown.total
+                np.copyto(best_flat, flat)
+                stall = 0
+            else:
+                stall += 1
+                if stall >= EARLY_STOP_PATIENCE:
+                    break
+            ad.backward(total_t)
+            # the leaves follow the parameters' order, which is flat's layout
+            grad = np.concatenate([t.grad.ravel() for t in ft.leaves.values()])
+            adam_step(flat, grad, m, v, epoch, config.learning_rate)
+            # free this epoch's tape before the next forward builds another;
+            # an early-stop break skips this line
+            ft = total_t = masks = None
+    ft = total_t = masks = ahead = None
     np.copyto(flat, best_flat)  # the views in params now hold the best
     final = build_forward(s, params, mconfig, training=False)
     _, final_breakdown = _epoch_losses(final, compiled, config.lam)

@@ -81,10 +81,10 @@ def test_transpose_concat_split_grad(seed):
     def build(l):
         a, b = l["a"], l["b"]
         top, bot = ad.split_rows(
-            ad.paired_attention(a, b, b, b, a, a, 0.8, 0.0, False, None), 2
+            ad.paired_attention(a, b, b, b, a, a, 0.8, 0.0, None), 2
         )
         return ad.frobenius_sq(
-            ad.paired_attention(top, bot, bot, bot, top, top, 0.8, 0.0, False, None)
+            ad.paired_attention(top, bot, bot, bot, top, top, 0.8, 0.0, None)
         )
 
     check_unary(build, {"a": (2, 3), "b": (3, 3)}, seed)
@@ -204,13 +204,16 @@ INLINE, THREADED = 2**62, 1  # thread cutoffs that force each path
 
 @contextmanager
 def cutoffs(thread_cells, tile_cells=None):
-    """Set paired_attention's thread cutoff, and its row tile, for a block."""
-    saved = ad.THREAD_CELLS, ad.TILE_CELLS
-    ad.THREAD_CELLS, ad.TILE_CELLS = thread_cells, tile_cells or saved[1]
+    """Set paired_attention's thread cutoff, and its row tiles and those of
+    the mask draw, for a block."""
+    saved = ad.THREAD_CELLS, ad.TILE_CELLS, ad.DRAW_CELLS
+    ad.THREAD_CELLS = thread_cells
+    if tile_cells is not None:
+        ad.TILE_CELLS = ad.DRAW_CELLS = tile_cells
     try:
         yield
     finally:
-        ad.THREAD_CELLS, ad.TILE_CELLS = saved
+        ad.THREAD_CELLS, ad.TILE_CELLS, ad.DRAW_CELLS = saved
 
 
 def attention_inputs(seed, nq=5, nk=7, d=3, dv=4):
@@ -255,6 +258,21 @@ def reference_attention(q_pos, k_neg, v_neg, q_neg, k_pos, v_pos, *rest):
     return Tensor(np.vstack([a.value, b.value]), (a, b), back)
 
 
+def fused_attention(q_pos, k_neg, v_neg, q_neg, k_pos, v_pos, *rest):
+    """paired_attention with the masks dropout_masks draws from the key, so
+    it takes the reference's arguments."""
+    scale, p, training, key = rest
+    keep = None
+    if training:
+        keep = ad.dropout_masks(
+            key, (len(q_pos.value), len(k_neg.value)),
+            (len(q_neg.value), len(k_pos.value)), p,
+        )
+    return ad.paired_attention(
+        q_pos, k_neg, v_neg, q_neg, k_pos, v_pos, scale, p, keep
+    )
+
+
 def run_attention(op, arrays, weight, p, training, key):
     leaves = {name: Tensor(a) for name, a in arrays.items()}
     out = op(*(leaves[name] for name in NAMES), 0.6, p, training, key)
@@ -266,7 +284,8 @@ def run_attention(op, arrays, weight, p, training, key):
 @pytest.mark.parametrize("p", [0.0, 0.1, 0.5])
 def test_attention_matches_unfused_chain_bit_for_bit(p, training):
     # first-direction score cells 1200, 1353, 42, 35: 0, 1, 2, 3 mod 4, so
-    # the second direction's stream starts at every offset in a block
+    # the second direction's words start at every offset in a Philox block;
+    # 41 and 7 key columns leave a part-filled byte in each packed mask row
     shapes = [(30, 40), (33, 41), (6, 7), (5, 7)]
     for (nq, nk), cutoff, tile in itertools.product(
         shapes, (INLINE, THREADED), (None, 64)
@@ -275,7 +294,7 @@ def test_attention_matches_unfused_chain_bit_for_bit(p, training):
         key = derive_key(nk, 0xD0)
         with cutoffs(cutoff, tile):
             fused = run_attention(
-                ad.paired_attention, arrays, weight, p, training, key
+                fused_attention, arrays, weight, p, training, key
             )
         ref = run_attention(reference_attention, arrays, weight, p, training, key)
         case = (nq, nk, cutoff, tile)
@@ -303,7 +322,7 @@ def test_paired_attention_from_concurrent_callers():
     def call():
         for _ in range(5):
             results.append(run_attention(
-                ad.paired_attention, arrays, weight, 0.5, True, key
+                fused_attention, arrays, weight, 0.5, True, key
             ))
 
     interval = sys.getswitchinterval()
@@ -330,83 +349,101 @@ def test_threaded_attention_leaves_no_thread_behind():
     before = threading.active_count()
     with cutoffs(THREADED):
         run_attention(
-            ad.paired_attention, arrays, weight, 0.5, True, derive_key(5, 0xD0)
+            fused_attention, arrays, weight, 0.5, True, derive_key(5, 0xD0)
         )
     assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("cutoff", [INLINE, THREADED], ids=["inline", "threaded"])
 def test_attention_holds_no_score_sized_float_array(cutoff):
-    # forward and backward at 1200 x 1200 score cells per direction work a
-    # row tile at a time: the peak of all they allocate, mask included,
+    # the mask draw, forward and backward at 1200 x 1200 score cells per
+    # direction work a row tile at a time: the peak of all they allocate
     # stays below one float64 array of the scores
     arrays, weight = attention_inputs(6, nq=1200, nk=1200)
     leaves = {name: Tensor(a) for name, a in arrays.items()}
     tracemalloc.start()
     try:
         with cutoffs(cutoff):
+            keep = ad.dropout_masks(
+                derive_key(6, 0xD0), (1200, 1200), (1200, 1200), 0.5
+            )
             out = ad.paired_attention(
-                *(leaves[name] for name in NAMES), 0.6, 0.5, True,
-                derive_key(6, 0xD0),
+                *(leaves[name] for name in NAMES), 0.6, 0.5, keep
             )
             ad.backward(weighted_sum(out, weight))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert all(t.grad is not None for t in leaves.values())
-    # the two bool masks alone show that numpy's allocations are traced
-    assert 2 * 1200 * 1200 <= peak < 1200 * 1200 * 8
+    # backward's three float64 row tiles alone show that numpy's
+    # allocations are traced
+    tiles = 3 * (ad.TILE_CELLS // 1200) * 1200 * 8
+    assert tiles <= peak < 1200 * 1200 * 8
 
 
 @given(SEEDS, st.sampled_from([0.0, 0.2, 0.6]))
 @settings(max_examples=15, deadline=None)
 def test_attention_grad(seed, p):
-    # a fixed key keeps the mask fixed across calls
+    # the same masks in every call
     shapes = {
         name: (3 if name.endswith("pos") else 4, 3 if name[0] == "v" else 2)
         for name in NAMES
     }
+    keep = ad.dropout_masks(derive_key(99, 0xB2), (3, 4), (4, 3), p)
     check_unary(
         lambda l: ad.frobenius_sq(
-            ad.paired_attention(
-                *(l[name] for name in NAMES), 0.7, p, True, derive_key(99, 0xB2)
-            )
+            ad.paired_attention(*(l[name] for name in NAMES), 0.7, p, keep)
         ),
         shapes,
         seed,
     )
 
 
-def uniform_attention(p, key, rows=200, cols=200):
+def uniform_attention(p, keep, rows=200, cols=200):
     # zero scores give probabilities 1/cols, and v = I shows the dropped
     # probabilities themselves as the output; both directions are rows x
     # cols, so the output is the (2 rows, cols) mask in drawing order
     q, k = Tensor(np.zeros((rows, 1))), Tensor(np.zeros((cols, 1)))
     v_neg, v_pos = Tensor(np.eye(cols)), Tensor(np.eye(cols))
-    out = ad.paired_attention(q, k, v_neg, q, k, v_pos, 1.0, p, True, key)
+    out = ad.paired_attention(q, k, v_neg, q, k, v_pos, 1.0, p, keep)
     return out, (v_neg, v_pos)
 
 
 @given(
     SEEDS,
-    st.integers(1, 12),
-    st.integers(1, 12),
+    st.lists(st.integers(1, 12), min_size=3, max_size=3),
     st.one_of(
         st.floats(0.0, 1.0, exclude_max=True),
         st.sampled_from([0.0, 2.0**-60, 2.0**-53, 0.5, 1.0 - 2.0**-53]),
     ),
 )
 @settings(max_examples=60, deadline=None)
-def test_dropout_mask_equals_random_threshold(seed, rows, cols, p):
+def test_dropout_mask_equals_random_threshold(seed, sizes, p):
+    # the directions are rows x cols and cols x rows, or both rows x cols
+    # for the op check; column counts 1-12 leave part-filled bytes, and
+    # the first mask's words end at every offset in a Philox block
+    rows, cols, other = sizes
     key = derive_key(seed, 0xB3)
 
     def check(p):
-        # a tile of 8 cells splits every direction with more than 8 cells
+        # the second mask drawn after the first or on a thread of its own
+        # past it; 8 cells split every mask over 8 cells
         for cutoff, tile in itertools.product((INLINE, THREADED), (None, 8)):
             with cutoffs(cutoff, tile):
-                kept = uniform_attention(p, key, rows, cols)[0].value != 0
-            expected = make_rng(seed, 0xB3).random((2 * rows, cols)) >= p
-            assert np.array_equal(kept, expected)
+                masks = ad.dropout_masks(key, (rows, cols), (other, rows), p)
+            rng = make_rng(seed, 0xB3)
+            first = rng.random((rows, cols)) >= p
+            second = rng.random((other, rows)) >= p
+            assert np.array_equal(masks[0], np.packbits(first, axis=1))
+            assert np.array_equal(masks[1], np.packbits(second, axis=1))
+        # the op drops exactly the masked cells, inline and threaded, in
+        # one tile and in many
+        both = make_rng(seed, 0xB3).random((2 * rows, cols)) >= p
+        masks = ad.dropout_masks(key, (rows, cols), (rows, cols), p)
+        for cutoff, tile in itertools.product((INLINE, THREADED), (None, 8)):
+            with cutoffs(cutoff, tile):
+                kept = uniform_attention(p, masks, rows, cols)[0].value != 0
+            assert np.array_equal(kept, both)
 
     check(p)
     # the threshold itself is kept and the next float above it is not
@@ -418,14 +455,22 @@ def test_dropout_mask_equals_random_threshold(seed, rows, cols, p):
 def test_dropout_inference_is_identity():
     arrays, _ = attention_inputs(1)
     leaves = [Tensor(arrays[name]) for name in NAMES]
-    out = ad.paired_attention(*leaves, 0.6, 0.5, False, derive_key(1, 0xB0))
-    undropped = ad.paired_attention(*leaves, 0.6, 0.0, True, None)
+    out = ad.paired_attention(*leaves, 0.6, 0.5, None)
+    # at p = 0 every word clears the threshold, so nothing is dropped
+    keep_all = ad.dropout_masks(derive_key(1, 0xB0), (5, 7), (7, 5), 0.0)
+    for mask, cols in zip(keep_all, (7, 5)):
+        assert np.unpackbits(mask, axis=1, count=cols).all()
+    undropped = ad.paired_attention(*leaves, 0.6, 0.0, keep_all)
     assert np.array_equal(out.value, undropped.value)
+
+
+def uniform_masks(p, key, rows=200, cols=200):
+    return ad.dropout_masks(key, (rows, cols), (rows, cols), p)
 
 
 def test_dropout_training_mask_and_scaling():
     p = 0.3
-    out, _ = uniform_attention(p, derive_key(2, 0xB0))
+    out, _ = uniform_attention(p, uniform_masks(p, derive_key(2, 0xB0)))
     vals = np.unique(out.value)
     assert set(np.round(vals, 12)) <= {0.0, round(1.0 / 200 / (1.0 - p), 12)}
     # dropped fraction near p, row sums preserved in expectation
@@ -434,9 +479,10 @@ def test_dropout_training_mask_and_scaling():
 
 
 def test_dropout_gradient_uses_same_mask():
+    keep = uniform_masks(0.4, derive_key(3, 0xB0))
     for cutoff in (INLINE, THREADED):
         with cutoffs(cutoff):
-            out, (v_neg, v_pos) = uniform_attention(0.4, derive_key(3, 0xB0))
+            out, (v_neg, v_pos) = uniform_attention(0.4, keep)
             g = np.ones_like(out.value)
             ad.backward(weighted_sum(out, g))
         # dv = dropped.T @ g per direction, and out is the dropped
@@ -445,14 +491,18 @@ def test_dropout_gradient_uses_same_mask():
         assert np.array_equal(v_pos.grad, out.value[200:].T @ g[200:])
 
 
-def test_dropout_requires_rng_when_training():
-    # the dropout stream is named by a key, which training needs
+def test_dropout_rejects_bad_probability_and_mask_shape():
     q = Tensor(np.ones((2, 2)))
-    with pytest.raises(ValueError, match="key"):
-        ad.paired_attention(*[q] * 6, 1.0, 0.5, True, None)
     for p in (1.0, -0.1):
-        with pytest.raises(ValueError):
-            ad.paired_attention(*[q] * 6, 1.0, p, False, None)
+        with pytest.raises(ValueError, match="probability"):
+            ad.paired_attention(*[q] * 6, 1.0, p, None)
+        with pytest.raises(ValueError, match="probability"):
+            ad.dropout_masks(0, (2, 2), (2, 2), p)
+    # masks packed for 3 rows, or for 9 columns, do not fit 2 x 2 cells
+    for shape in ((3, 2), (2, 9)):
+        keep = ad.dropout_masks(0, shape, (2, 2), 0.5)
+        with pytest.raises(ValueError, match="keep mask"):
+            ad.paired_attention(*[q] * 6, 1.0, 0.5, keep)
 
 
 def test_finite_diff_check_flags_wrong_gradient():

@@ -96,6 +96,20 @@ def test_solve_reports_missing_file(tmp_path, capsys):
     assert "nope.wcnf" in err
 
 
+def test_solve_rejects_bad_settings(tmp_path, capsys):
+    data = gen_dataset(tmp_path, count=1)
+    capsys.readouterr()
+    for flag, value, name in (
+        ("--lambda", "-1", "lam"), ("--lr", "0", "learning_rate")
+    ):
+        code, out, err = run(
+            ["solve", str(data / "*.wcnf"), flag, value], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and name in err
+
+
 def test_oracle_exhaustive_json(tmp_path, capsys):
     data = gen_dataset(tmp_path, count=1)
     capsys.readouterr()

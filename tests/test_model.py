@@ -15,6 +15,7 @@ from hypersat.model import (
     ModelConfig,
     build_forward,
     conv_layer,
+    dropout_masks,
     init_params,
     round_half_up,
 )
@@ -63,6 +64,12 @@ def test_derived_widths():
     assert ModelConfig(num_vars=4).hidden_dim == 1
     assert ModelConfig(num_vars=250, d0=3, d1=2).input_dim == 3
     assert ModelConfig(num_vars=250, d0=3, d1=2).hidden_dim == 2
+
+
+def test_config_rejects_unknown_mode():
+    for mode in ("Literal", "variables", ""):
+        with pytest.raises(ValueError, match="mode"):
+            ModelConfig(num_vars=4, mode=mode)
 
 
 def test_num_nodes_by_mode():
@@ -216,10 +223,23 @@ def test_forward_deterministic_inference():
 def test_training_dropout_changes_output():
     inst, s, config, params = rand_setup(n=8, m=28, seed=8, d0=4, d1=3)
     base = build_forward(s, params, config, training=False).y.value
+    masks = dropout_masks(config, derive_key(8, 0xD0, 1))
     dropped = build_forward(
-        s, params, config, training=True, dropout_key=derive_key(8, 0xD0, 1)
+        s, params, config, training=True, dropout=masks
     ).y.value
     assert not np.array_equal(base, dropped)
+    # masks outside training are ignored
+    again = build_forward(s, params, config, dropout=masks).y.value
+    assert np.array_equal(base, again)
+
+
+def test_training_attention_requires_dropout_masks():
+    inst, s, config, params = rand_setup(n=8, m=28, seed=8, d0=4, d1=3)
+    with pytest.raises(ValueError, match="dropout masks"):
+        build_forward(s, params, config, training=True)
+    # a model without attention has nothing to drop
+    plain = ModelConfig(num_vars=8, seed=8, use_transformer=False)
+    build_forward(s, init_params(plain)[1], plain, training=True)
 
 
 def test_operator_size_mismatch_rejected():

@@ -5,12 +5,16 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hypersat
+from hypersat import autodiff as ad
+from hypersat import solver
+from hypersat.objective import LossBreakdown
 from hypersat.oracle import exhaustive_optimum
 from hypersat.rng import make_rng
 from hypersat.solver import (
@@ -45,6 +49,14 @@ def test_config_validation():
         SolveConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         SolveConfig(num_samples=0)
+    # "Literal" once trained the variable-mode ablation and reported itself
+    for mode in ("Literal", "var", ""):
+        with pytest.raises(ValueError, match="mode"):
+            SolveConfig(mode=mode)
+    for lam in (-1.0, -1e-300, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lam"):
+            SolveConfig(lam=lam)
+    SolveConfig(lam=0.0, mode="variable")
 
 
 def fresh_adam(flat):
@@ -156,6 +168,49 @@ def test_early_stopping_on_plateau():
     )
     _, _, trace, epochs, _ = train(inst, config)
     assert epochs == EARLY_STOP_PATIENCE + 1
+
+
+def test_train_leaves_no_thread_behind(monkeypatch):
+    # the dropout masks are drawn on a thread of train's own; every way out
+    # of training ends it: max epochs, an early stop, and an error
+    inst = rand_instance(3)
+    before = threading.active_count()
+    assert train(inst, SolveConfig(seed=3, max_epochs=5))[3] == 5
+    assert threading.active_count() == before
+
+    # no epoch beats the best by an infinite margin, so every epoch stalls
+    monkeypatch.setattr(solver, "EARLY_STOP_TOLERANCE", float("inf"))
+    monkeypatch.setattr(solver, "EARLY_STOP_PATIENCE", 3)
+    assert train(inst, SolveConfig(seed=3, max_epochs=50))[3] == 3
+    assert threading.active_count() == before
+
+    losses = solver._epoch_losses
+
+    def non_finite_at_epoch_3(ft, compiled, lam):
+        total_t, breakdown = losses(ft, compiled, lam)
+        calls.append(None)
+        if len(calls) == 3:
+            breakdown = LossBreakdown(float("nan"), 0.0, lam)
+        return total_t, breakdown
+
+    calls = []
+    monkeypatch.setattr(solver, "_epoch_losses", non_finite_at_epoch_3)
+    with pytest.raises(FloatingPointError, match="epoch 3"):
+        solve(inst, SolveConfig(seed=3, max_epochs=50))
+    assert threading.active_count() == before
+
+
+def test_masks_drawn_ahead_or_inline_train_alike(monkeypatch):
+    # below THREAD_CELLS train draws each epoch's masks ahead on a thread of
+    # its own; from it, inline at the epoch's start.  Both read the same keys
+    inst = rand_instance(9)
+    config = SolveConfig(seed=9, max_epochs=20)
+    _, y_ahead, t_ahead, _, _ = train(inst, config)
+    before = threading.active_count()
+    monkeypatch.setattr(ad, "THREAD_CELLS", 1)
+    _, y_inline, t_inline, _, _ = train(inst, config)
+    assert threading.active_count() == before
+    assert np.array_equal(y_ahead, y_inline) and t_ahead == t_inline
 
 
 def test_train_deterministic():
