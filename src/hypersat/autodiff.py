@@ -13,25 +13,18 @@ one row tile of about ``TILE_CELLS`` score cells at a time, and never holds
 an n x n float array: the tape keeps each direction's row max and row sum,
 and backward recomputes each tile's probabilities from them.  Its dropout
 takes ``keep``, the two directions' masks packed to bits, which
-``dropout_masks`` draws from a Philox key; the draw needs nothing from the
-forward pass, so ``solver.train`` can make it one epoch ahead.  From
-``THREAD_CELLS`` score cells per direction the second direction (of the
-op, and of the mask draw) runs on a thread of its own for the call, on
-plain arrays (the tape is built and walked by the caller's thread alone),
-with the same tiles, so results are bit-identical to computing the
-directions one after the other, whatever the thread timing.
+``dropout_masks`` draws from a Philox key.  Both take an optional ``pool``,
+an executor that runs the second direction on plain arrays (the tape is
+built and walked by the caller's thread alone), with the same tiles, so
+results are bit-identical with or without it.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-# Score cells (rows x cols) per direction from which paired_attention runs
-# its two directions at once; below it the hand-off costs more than it saves.
-THREAD_CELLS = 2**18
 # Score cells per row tile of paired_attention, which holds a few tiles at
 # a time instead of n x n arrays.  One tile covers every op with n <= 362,
 # whose results are then bit-identical to whole-array computation.
@@ -298,14 +291,13 @@ def _attend_back(g, q, k, v, scale, inv, keep, top, total):
     return dq, dk, dv
 
 
-def _pair(threaded: bool, fn, first: tuple, second: tuple) -> tuple:
-    """``(fn(*first), fn(*second))``, the second call on a thread of its
-    own when ``threaded``."""
-    if not threaded:
+def _pair(pool, fn, first: tuple, second: tuple) -> tuple:
+    """``(fn(*first), fn(*second))``, the second call submitted to ``pool``
+    unless it is None."""
+    if pool is None:
         return fn(*first), fn(*second)
-    with ThreadPoolExecutor(1) as pool:
-        later = pool.submit(fn, *second)
-        return fn(*first), later.result()
+    later = pool.submit(fn, *second)
+    return fn(*first), later.result()
 
 
 def dropout_masks(
@@ -313,6 +305,7 @@ def dropout_masks(
     first_shape: tuple[int, int],
     second_shape: tuple[int, int],
     p: float,
+    pool=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The keep masks of both ``paired_attention`` directions, packed to
     bits along rows (``np.packbits(mask, axis=1)``).
@@ -326,9 +319,8 @@ def dropout_masks(
     in blocks of four, which ``advance`` skips), so it is the mask the
     serial order would draw.  Words are drawn one row tile of about
     ``DRAW_CELLS`` at a time, so the draw holds no n x n array but the
-    packed masks.  From ``THREAD_CELLS`` cells per mask, as in
-    ``paired_attention``, the second mask is drawn on a thread of its own.
-    The result depends on the key alone, whatever thread draws it."""
+    packed masks.  The second mask is drawn on ``pool`` when one is given;
+    the result depends on the key alone, whatever thread draws it."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0,1), got {p}")
     threshold = np.uint64(math.ceil(p * 2.0**53) << 11)
@@ -344,18 +336,14 @@ def dropout_masks(
         return packed
 
     cells = first_shape[0] * first_shape[1]
-    return _pair(
-        min(cells, second_shape[0] * second_shape[1]) >= THREAD_CELLS,
-        draw,
-        (*first_shape, 0),
-        (*second_shape, cells),
-    )
+    return _pair(pool, draw, (*first_shape, 0), (*second_shape, cells))
 
 
 def paired_attention(
     q_pos: Tensor, k_neg: Tensor, v_neg: Tensor,
     q_neg: Tensor, k_pos: Tensor, v_pos: Tensor,
     scale: float, p: float, keep: tuple[np.ndarray, np.ndarray] | None,
+    pool=None,
 ) -> Tensor:
     """Both cross-attention directions, stacked by rows: each is
     ``dropout(row_softmax(scale * q @ k.T)) @ v``, and the result is
@@ -371,9 +359,9 @@ def paired_attention(
     1/(1-p); ``None`` (inference) drops nothing.  Each tile unpacks its
     rows of the mask when it needs them.
 
-    From ``THREAD_CELLS`` score cells per direction, the second direction's
-    forward and backward run on a thread of their own while the first runs
-    on the caller's; numpy releases the GIL for BLAS and ufuncs.
+    Given ``pool``, the second direction's forward and backward run on it
+    while the first runs on the caller's thread; numpy releases the GIL for
+    BLAS and ufuncs.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0,1), got {p}")
@@ -385,12 +373,9 @@ def paired_attention(
             raise ValueError(
                 f"keep mask {mask.shape} does not pack {len(q)} x {len(k)}"
             )
-    threaded = min(
-        len(first[0]) * len(first[1]), len(second[0]) * len(second[1])
-    ) >= THREAD_CELLS
     inv = 1.0 / (1.0 - p)
     (out1, *saved1), (out2, *saved2) = _pair(
-        threaded,
+        pool,
         _attend,
         (*first, scale, inv, keep[0]),
         (*second, scale, inv, keep[1]),
@@ -399,7 +384,7 @@ def paired_attention(
 
     def back(g):
         grads = _pair(
-            threaded,
+            pool,
             _attend_back,
             (g[:split], *first, scale, inv, keep[0], *saved1),
             (g[split:], *second, scale, inv, keep[1], *saved2),

@@ -17,9 +17,9 @@ tokens.  ReLU after conv layer 1, identity on the logit layer.
 
 A training forward pass takes the attention's dropout masks as an argument
 instead of drawing them: ``dropout_masks`` makes them from a Philox key,
-packed to bits, and ``solver.train`` draws each epoch's (one epoch ahead,
-on a thread of its own, below ``THREAD_CELLS`` score cells);
-``paired_attention`` takes them as ``keep``.
+packed to bits, and ``paired_attention`` takes them as ``keep``.  Both take
+an optional ``pool`` for the attention's second direction, which the
+forward pass hands down.
 """
 
 from __future__ import annotations
@@ -156,15 +156,15 @@ def cross_attention(
     ln: Tensor,
     leaves: dict[str, Tensor],
     keep: tuple[np.ndarray, np.ndarray] | None = None,
+    pool=None,
 ) -> Tensor:
     """Positive bank attends over the negative bank and vice versa, stacked
     as (2n, d) by one ``autodiff.paired_attention`` op, which works in row
     tiles and leaves only a row max and a row sum per direction on the
     tape.  In training, ``keep`` holds the two directions' packed dropout
     masks (``autodiff.dropout_masks`` with ``ATTENTION_DROPOUT``, the
-    positive-to-negative direction's mask first); ``None`` drops nothing.  From
-    n = 512 the negative-to-positive direction runs on a second thread, so
-    both cores work, and the result does not depend on thread timing."""
+    positive-to-negative direction's mask first); ``None`` drops nothing.
+    Given ``pool``, the negative-to-positive direction runs on it."""
     d = lp.value.shape[1]
     return ad.paired_attention(
         ad.matmul(lp, leaves["attn_q_pos"]),
@@ -176,6 +176,7 @@ def cross_attention(
         1.0 / math.sqrt(d),
         ATTENTION_DROPOUT,
         keep,
+        pool=pool,
     )
 
 
@@ -184,13 +185,14 @@ def transformer_block(
     leaves: dict[str, Tensor],
     config: ModelConfig,
     keep: tuple[np.ndarray, np.ndarray] | None = None,
+    pool=None,
 ) -> Tensor:
     """Parallel cross-attention + FFN with residual:
     LN2(attn(LN1(x)) + FFN(LN1(x)) + LN1(x))."""
     n = config.num_vars
     x = ad.layer_norm(l, leaves["ln1_gain"], leaves["ln1_bias"])
     xp, xn = ad.split_rows(x, n)
-    a = cross_attention(xp, xn, leaves, keep)
+    a = cross_attention(xp, xn, leaves, keep, pool=pool)
     f = ad.matmul(ad.relu(ad.matmul(x, leaves["ffn1"])), leaves["ffn2"])
     return ad.layer_norm(
         ad.add(ad.add(a, f), x), leaves["ln2_gain"], leaves["ln2_bias"]
@@ -198,12 +200,12 @@ def transformer_block(
 
 
 def dropout_masks(
-    config: ModelConfig, key: int
+    config: ModelConfig, key: int, pool=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The attention's packed keep masks for one training forward pass,
     drawn from the Philox stream ``key`` names."""
     n = config.num_vars
-    return ad.dropout_masks(key, (n, n), (n, n), ATTENTION_DROPOUT)
+    return ad.dropout_masks(key, (n, n), (n, n), ATTENTION_DROPOUT, pool=pool)
 
 
 def _first_column(a: Tensor) -> Tensor:
@@ -221,11 +223,12 @@ def build_forward(
     config: ModelConfig,
     training: bool = False,
     dropout: tuple[np.ndarray, np.ndarray] | None = None,
+    pool=None,
 ) -> ForwardTensors:
     """Run the network on the tape; returns live tensors for loss wiring.
     Training a model with attention needs ``dropout``, the attention's two
     packed keep masks (``dropout_masks``); at inference nothing is
-    dropped."""
+    dropped.  ``pool`` goes to the attention."""
     if s.matrix.shape[0] != config.num_nodes:
         raise ValueError(
             f"operator has {s.matrix.shape[0]} nodes, config expects "
@@ -239,7 +242,7 @@ def build_forward(
     if config.mode == "literal":
         if config.use_transformer:
             keep = dropout if training else None
-            h1 = transformer_block(h1, leaves, config, keep)
+            h1 = transformer_block(h1, leaves, config, keep, pool=pool)
         penult_pos, penult_neg = ad.split_rows(h1, n)
         logits = conv_layer(s, h1, leaves["conv2"], "identity")
         pairs = ad.reshape_pairs(logits, n)

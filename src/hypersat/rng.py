@@ -7,9 +7,7 @@ mixer, so independent components (weight sampling, parameter init, dropout,
 assignment sampling) never share a stream.  ``make_rng`` wraps a stream in
 a ``Generator``; the attention dropout takes the bare ``derive_key`` key
 instead: ``autodiff.dropout_masks`` reads raw words of its stream and packs
-the keep masks to bits, and because the masks depend on the key alone,
-``solver.train`` may draw each epoch's one epoch ahead on a thread of its
-own.
+the keep masks to bits, so the masks depend on the key alone.
 """
 
 from __future__ import annotations

@@ -2,12 +2,7 @@
 probabilistic rounding to Boolean assignments.
 
 Training minimizes task + lambda * shared per epoch (dropout on, fresh
-masks per epoch).  A model with attention below ``THREAD_CELLS`` score
-cells draws each epoch's dropout masks on a thread of the solve's own while
-the epoch before trains, on the core its attention leaves idle; larger
-models draw them at the epoch's start, two threads at once.  The masks are
-a function of the seed and the epoch alone, so results do not depend on
-thread timing or on where they were drawn.  The training state is the model's flat parameter vector
+masks per epoch).  The training state is the model's flat parameter vector
 and Adam's two moment vectors of the same layout: each epoch gathers the
 leaf gradients into one vector, and Adam is a few vector operations on it.
 The best-total-loss parameters are kept as one copy of the vector; the
@@ -15,13 +10,23 @@ returned probabilities come from a final dropout-off forward pass with
 those parameters.  Rounding draws k independent Bernoulli assignments from
 the probability vector and keeps the one with the least unsatisfied weight
 (first drawn wins ties).
+
+Threading: ``train`` keeps one worker thread for the whole solve, started
+only if a model with attention needs it.  From ``THREAD_CELLS`` score cells
+per attention direction (n >= 512) the worker runs the second half of each
+pair (the second dropout mask, and the second direction's forward and
+backward) while the solve's thread runs the first, and each epoch's masks
+are drawn at its start.  Below the cutoff the attention leaves the second
+core idle, so the worker draws each epoch's masks while the epoch before
+trains.  The masks are a function of the seed and the epoch alone, and
+each direction's tiles are the same on either thread, so results do not
+depend on thread timing or on which thread ran what.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +56,10 @@ ADAM_EPS = 1e-8
 # the tolerance for this many epochs in a row
 EARLY_STOP_TOLERANCE = 1e-4
 EARLY_STOP_PATIENCE = 50
+# Score cells (rows x cols) per attention direction from which the solve's
+# worker runs the second direction; below it the hand-off costs more than it
+# saves.
+THREAD_CELLS = 2**18
 
 
 @dataclass(frozen=True)
@@ -64,8 +73,11 @@ class SolveConfig:
     use_transformer: bool = True
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        lr = self.learning_rate
+        if not (math.isfinite(lr) and lr > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {lr}")
+        if self.max_epochs < 1:
+            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.num_samples < 1:
             raise ValueError("num_samples must be >= 1")
         if not (math.isfinite(self.lam) and self.lam >= 0):
@@ -172,31 +184,29 @@ def train(instance: WcnfInstance, config: SolveConfig) -> tuple[
     stall = 0
     epochs_run = 0
 
-    def draw(epoch):
-        return dropout_masks(mconfig, derive_key(config.seed, 0xD0, epoch))
+    def draw(epoch, pool):
+        key = derive_key(config.seed, 0xD0, epoch)
+        return dropout_masks(mconfig, key, pool=pool)
 
-    # below THREAD_CELLS the attention leaves the second core idle, so each
-    # epoch's masks are drawn there while the epoch before trains; from it
-    # both cores run the attention, and dropout_masks draws the two masks
-    # on two threads at the epoch's start.  Leaving the block waits for a
-    # draw still running and drops it.
-    ahead_of_time = (
-        mconfig.has_attention and mconfig.num_vars**2 < ad.THREAD_CELLS
-    )
-    with (
-        ThreadPoolExecutor(1) if ahead_of_time else nullcontext()
-    ) as pool:
-        ahead = pool.submit(draw, 1) if pool else None
+    # The threading rule of the module docstring.  Leaving the block waits
+    # for a draw still running and drops it.
+    with ThreadPoolExecutor(1) as worker:
+        pool = worker if mconfig.num_vars**2 >= THREAD_CELLS else None
+        ahead = None
+        if mconfig.has_attention and pool is None:
+            # the worker draws with no pool: a task that submitted to its
+            # own single worker would wait for itself
+            ahead = worker.submit(draw, 1, None)
         for epoch in range(1, config.max_epochs + 1):
             masks = None
             if ahead:
                 masks = ahead.result()
                 if epoch < config.max_epochs:
-                    ahead = pool.submit(draw, epoch + 1)
+                    ahead = worker.submit(draw, epoch + 1, None)
             elif mconfig.has_attention:
-                masks = draw(epoch)
+                masks = draw(epoch, pool)
             ft = build_forward(
-                s, params, mconfig, training=True, dropout=masks
+                s, params, mconfig, training=True, dropout=masks, pool=pool
             )
             total_t, breakdown = _epoch_losses(ft, compiled, config.lam)
             if not np.isfinite(breakdown.total):
@@ -220,9 +230,9 @@ def train(instance: WcnfInstance, config: SolveConfig) -> tuple[
             # free this epoch's tape before the next forward builds another;
             # an early-stop break skips this line
             ft = total_t = masks = None
-    ft = total_t = masks = ahead = None
-    np.copyto(flat, best_flat)  # the views in params now hold the best
-    final = build_forward(s, params, mconfig, training=False)
+        ft = total_t = masks = ahead = None
+        np.copyto(flat, best_flat)  # the views in params now hold the best
+        final = build_forward(s, params, mconfig, training=False, pool=pool)
     _, final_breakdown = _epoch_losses(final, compiled, config.lam)
     y_final = final.y.value.reshape(-1).copy()
     return params, y_final, trace, epochs_run, final_breakdown

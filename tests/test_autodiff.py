@@ -6,6 +6,7 @@ import itertools
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -199,21 +200,27 @@ def test_shape_mismatch_errors():
 
 
 NAMES = ("q_pos", "k_neg", "v_neg", "q_neg", "k_pos", "v_pos")
-INLINE, THREADED = 2**62, 1  # thread cutoffs that force each path
 
 
 @contextmanager
-def cutoffs(thread_cells, tile_cells=None):
-    """Set paired_attention's thread cutoff, and its row tiles and those of
-    the mask draw, for a block."""
-    saved = ad.THREAD_CELLS, ad.TILE_CELLS, ad.DRAW_CELLS
-    ad.THREAD_CELLS = thread_cells
+def cutoffs(tile_cells=None):
+    """Set paired_attention's row tiles and those of the mask draw for a
+    block."""
+    saved = ad.TILE_CELLS, ad.DRAW_CELLS
     if tile_cells is not None:
         ad.TILE_CELLS = ad.DRAW_CELLS = tile_cells
     try:
         yield
     finally:
-        ad.THREAD_CELLS, ad.TILE_CELLS, ad.DRAW_CELLS = saved
+        ad.TILE_CELLS, ad.DRAW_CELLS = saved
+
+
+@pytest.fixture
+def worker():
+    """A one-thread pool the test owns, for the second call of each pair;
+    ``None`` in its place runs both calls on the caller's thread."""
+    with ThreadPoolExecutor(1) as pool:
+        yield pool
 
 
 def attention_inputs(seed, nq=5, nk=7, d=3, dv=4):
@@ -258,18 +265,20 @@ def reference_attention(q_pos, k_neg, v_neg, q_neg, k_pos, v_pos, *rest):
     return Tensor(np.vstack([a.value, b.value]), (a, b), back)
 
 
-def fused_attention(q_pos, k_neg, v_neg, q_neg, k_pos, v_pos, *rest):
+def fused_attention(
+    q_pos, k_neg, v_neg, q_neg, k_pos, v_pos, *rest, pool=None
+):
     """paired_attention with the masks dropout_masks draws from the key, so
-    it takes the reference's arguments."""
+    it takes the reference's arguments; ``pool`` goes to both."""
     scale, p, training, key = rest
     keep = None
     if training:
         keep = ad.dropout_masks(
             key, (len(q_pos.value), len(k_neg.value)),
-            (len(q_neg.value), len(k_pos.value)), p,
+            (len(q_neg.value), len(k_pos.value)), p, pool=pool,
         )
     return ad.paired_attention(
-        q_pos, k_neg, v_neg, q_neg, k_pos, v_pos, scale, p, keep
+        q_pos, k_neg, v_neg, q_neg, k_pos, v_pos, scale, p, keep, pool=pool
     )
 
 
@@ -282,22 +291,21 @@ def run_attention(op, arrays, weight, p, training, key):
 
 @pytest.mark.parametrize("training", [True, False])
 @pytest.mark.parametrize("p", [0.0, 0.1, 0.5])
-def test_attention_matches_unfused_chain_bit_for_bit(p, training):
+def test_attention_matches_unfused_chain_bit_for_bit(p, training, worker):
     # first-direction score cells 1200, 1353, 42, 35: 0, 1, 2, 3 mod 4, so
     # the second direction's words start at every offset in a Philox block;
     # 41 and 7 key columns leave a part-filled byte in each packed mask row
     shapes = [(30, 40), (33, 41), (6, 7), (5, 7)]
-    for (nq, nk), cutoff, tile in itertools.product(
-        shapes, (INLINE, THREADED), (None, 64)
+    for (nq, nk), pool, tile in itertools.product(
+        shapes, (None, worker), (None, 64)
     ):
         arrays, weight = attention_inputs(nq, nq, nk)
         key = derive_key(nk, 0xD0)
-        with cutoffs(cutoff, tile):
-            fused = run_attention(
-                fused_attention, arrays, weight, p, training, key
-            )
+        fused_op = functools.partial(fused_attention, pool=pool)
+        with cutoffs(tile):
+            fused = run_attention(fused_op, arrays, weight, p, training, key)
         ref = run_attention(reference_attention, arrays, weight, p, training, key)
-        case = (nq, nk, cutoff, tile)
+        case = (nq, nk, pool is not None, tile)
         # one tile gives the chain's GEMM shapes and so its bits; several
         # tiles sum the GEMMs' k and v gradients, and the output and q
         # gradient come from shorter GEMMs, so they agree to rounding
@@ -310,67 +318,83 @@ def test_attention_matches_unfused_chain_bit_for_bit(p, training):
             assert same(fused[1][name], ref[1][name]), (name, case)
 
 
-def test_paired_attention_from_concurrent_callers():
-    # more calling threads than cores, each call with a thread of its own,
-    # under frequent thread switches; every call must still give the
-    # chain's bits
+def test_paired_attention_from_concurrent_callers(worker):
+    # more calling threads than cores, under frequent thread switches, each
+    # with a pool of its own, then all four sharing one; every call must
+    # still give the chain's bits
     arrays, weight = attention_inputs(4, nq=30, nk=40)
     key = derive_key(4, 0xD0)
     expected = run_attention(reference_attention, arrays, weight, 0.5, True, key)
     results = []
 
-    def call():
-        for _ in range(5):
-            results.append(run_attention(
-                fused_attention, arrays, weight, 0.5, True, key
-            ))
+    def call(shared):
+        with ThreadPoolExecutor(1) as own:
+            op = functools.partial(fused_attention, pool=shared or own)
+            for _ in range(5):
+                results.append(
+                    run_attention(op, arrays, weight, 0.5, True, key)
+                )
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
+    threads = []
     try:
-        with cutoffs(THREADED):
-            threads = [threading.Thread(target=call) for _ in range(4)]
-            for t in threads:
+        for shared in (None, worker):
+            callers = [
+                threading.Thread(target=call, args=(shared,))
+                for _ in range(4)
+            ]
+            threads += callers
+            for t in callers:
                 t.start()
-            for t in threads:
+            for t in callers:
                 t.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert len(results) == 20
+    assert len(results) == 40
     for out, grads in results:
         assert np.array_equal(out, expected[0])
         for name in arrays:
             assert np.array_equal(grads[name], expected[1][name]), name
 
 
-def test_threaded_attention_leaves_no_thread_behind():
+def test_attention_starts_no_thread_of_its_own(monkeypatch, worker):
+    # paired_attention and dropout_masks run both calls of each pair on the
+    # caller's thread, or the second on the pool they are given, whose one
+    # worker is then the only thread started
+    started = []
+    start = threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
     arrays, weight = attention_inputs(5, nq=30, nk=40)
-    before = threading.active_count()
-    with cutoffs(THREADED):
-        run_attention(
-            fused_attention, arrays, weight, 0.5, True, derive_key(5, 0xD0)
-        )
-    assert threading.active_count() == before
+    for pool, threads in ((None, 0), (worker, 1), (None, 1)):
+        op = functools.partial(fused_attention, pool=pool)
+        run_attention(op, arrays, weight, 0.5, True, derive_key(5, 0xD0))
+        assert len(started) == threads
 
 
-@pytest.mark.parametrize("cutoff", [INLINE, THREADED], ids=["inline", "threaded"])
-def test_attention_holds_no_score_sized_float_array(cutoff):
+@pytest.mark.parametrize("threaded", [False, True], ids=["inline", "threaded"])
+def test_attention_holds_no_score_sized_float_array(threaded, worker):
     # the mask draw, forward and backward at 1200 x 1200 score cells per
     # direction work a row tile at a time: the peak of all they allocate
     # stays below one float64 array of the scores
     arrays, weight = attention_inputs(6, nq=1200, nk=1200)
     leaves = {name: Tensor(a) for name, a in arrays.items()}
+    pool = worker if threaded else None
     tracemalloc.start()
     try:
-        with cutoffs(cutoff):
-            keep = ad.dropout_masks(
-                derive_key(6, 0xD0), (1200, 1200), (1200, 1200), 0.5
-            )
-            out = ad.paired_attention(
-                *(leaves[name] for name in NAMES), 0.6, 0.5, keep
-            )
-            ad.backward(weighted_sum(out, weight))
+        keep = ad.dropout_masks(
+            derive_key(6, 0xD0), (1200, 1200), (1200, 1200), 0.5, pool=pool
+        )
+        out = ad.paired_attention(
+            *(leaves[name] for name in NAMES), 0.6, 0.5, keep, pool=pool
+        )
+        ad.backward(weighted_sum(out, weight))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -399,13 +423,13 @@ def test_attention_grad(seed, p):
     )
 
 
-def uniform_attention(p, keep, rows=200, cols=200):
+def uniform_attention(p, keep, rows=200, cols=200, pool=None):
     # zero scores give probabilities 1/cols, and v = I shows the dropped
     # probabilities themselves as the output; both directions are rows x
     # cols, so the output is the (2 rows, cols) mask in drawing order
     q, k = Tensor(np.zeros((rows, 1))), Tensor(np.zeros((cols, 1)))
     v_neg, v_pos = Tensor(np.eye(cols)), Tensor(np.eye(cols))
-    out = ad.paired_attention(q, k, v_neg, q, k, v_pos, 1.0, p, keep)
+    out = ad.paired_attention(q, k, v_neg, q, k, v_pos, 1.0, p, keep, pool)
     return out, (v_neg, v_pos)
 
 
@@ -425,31 +449,34 @@ def test_dropout_mask_equals_random_threshold(seed, sizes, p):
     rows, cols, other = sizes
     key = derive_key(seed, 0xB3)
 
-    def check(p):
-        # the second mask drawn after the first or on a thread of its own
-        # past it; 8 cells split every mask over 8 cells
-        for cutoff, tile in itertools.product((INLINE, THREADED), (None, 8)):
-            with cutoffs(cutoff, tile):
-                masks = ad.dropout_masks(key, (rows, cols), (other, rows), p)
+    def check(p, pools):
+        # the second mask drawn after the first or on a pool's thread past
+        # it; 8 cells split every mask over 8 cells
+        for pool, tile in itertools.product(pools, (None, 8)):
+            with cutoffs(tile):
+                masks = ad.dropout_masks(
+                    key, (rows, cols), (other, rows), p, pool=pool
+                )
             rng = make_rng(seed, 0xB3)
             first = rng.random((rows, cols)) >= p
             second = rng.random((other, rows)) >= p
             assert np.array_equal(masks[0], np.packbits(first, axis=1))
             assert np.array_equal(masks[1], np.packbits(second, axis=1))
-        # the op drops exactly the masked cells, inline and threaded, in
-        # one tile and in many
+        # the op drops exactly the masked cells, with and without a pool,
+        # in one tile and in many
         both = make_rng(seed, 0xB3).random((2 * rows, cols)) >= p
         masks = ad.dropout_masks(key, (rows, cols), (rows, cols), p)
-        for cutoff, tile in itertools.product((INLINE, THREADED), (None, 8)):
-            with cutoffs(cutoff, tile):
-                kept = uniform_attention(p, masks, rows, cols)[0].value != 0
-            assert np.array_equal(kept, both)
+        for pool, tile in itertools.product(pools, (None, 8)):
+            with cutoffs(tile):
+                out = uniform_attention(p, masks, rows, cols, pool)[0]
+            assert np.array_equal(out.value != 0, both)
 
-    check(p)
-    # the threshold itself is kept and the next float above it is not
+    # p, then a drawn value r as the threshold: r itself is kept and the
+    # next float above it is not
     r = make_rng(seed, 0xB3).random()
-    check(r)
-    check(float(np.nextafter(r, 1.0)))
+    with ThreadPoolExecutor(1) as worker:
+        for threshold in (p, r, float(np.nextafter(r, 1.0))):
+            check(threshold, (None, worker))
 
 
 def test_dropout_inference_is_identity():
@@ -478,13 +505,12 @@ def test_dropout_training_mask_and_scaling():
     assert abs(out.value.sum(axis=1).mean() - 1.0) < 0.02
 
 
-def test_dropout_gradient_uses_same_mask():
+def test_dropout_gradient_uses_same_mask(worker):
     keep = uniform_masks(0.4, derive_key(3, 0xB0))
-    for cutoff in (INLINE, THREADED):
-        with cutoffs(cutoff):
-            out, (v_neg, v_pos) = uniform_attention(0.4, keep)
-            g = np.ones_like(out.value)
-            ad.backward(weighted_sum(out, g))
+    for pool in (None, worker):
+        out, (v_neg, v_pos) = uniform_attention(0.4, keep, pool=pool)
+        g = np.ones_like(out.value)
+        ad.backward(weighted_sum(out, g))
         # dv = dropped.T @ g per direction, and out is the dropped
         # probabilities themselves
         assert np.array_equal(v_neg.grad, out.value[:200].T @ g[:200])

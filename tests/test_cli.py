@@ -100,7 +100,12 @@ def test_solve_rejects_bad_settings(tmp_path, capsys):
     data = gen_dataset(tmp_path, count=1)
     capsys.readouterr()
     for flag, value, name in (
-        ("--lambda", "-1", "lam"), ("--lr", "0", "learning_rate")
+        ("--lambda", "-1", "lam"),
+        ("--lr", "0", "learning_rate"),
+        ("--lr", "nan", "learning_rate"),
+        ("--lr", "inf", "learning_rate"),
+        ("--epochs", "0", "max_epochs"),
+        ("--epochs", "-5", "max_epochs"),
     ):
         code, out, err = run(
             ["solve", str(data / "*.wcnf"), flag, value], capsys

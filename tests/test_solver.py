@@ -45,8 +45,13 @@ def rand_instance(seed, n=10, m=35):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolveConfig(learning_rate=0.0)
+    for lr in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="learning_rate"):
+            SolveConfig(learning_rate=lr)
+    # 0 or fewer epochs once reported the untrained network's rounding
+    for epochs in (0, -5):
+        with pytest.raises(ValueError, match="max_epochs"):
+            SolveConfig(max_epochs=epochs)
     with pytest.raises(ValueError):
         SolveConfig(num_samples=0)
     # "Literal" once trained the variable-mode ablation and reported itself
@@ -200,14 +205,40 @@ def test_train_leaves_no_thread_behind(monkeypatch):
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("n", [600, 10], ids=["paired", "ahead"])
+def test_solve_starts_one_thread_at_most(monkeypatch, n):
+    # the solve's one worker, above the cutoff and below it, is the only
+    # thread it starts, and the attention never runs beside more than it
+    inst = rand_instance(7, n=n, m=round(4.26 * n))
+    started, running = [], []
+    start, attend = threading.Thread.start, ad._attend
+
+    def counted_start(thread):
+        started.append(thread)
+        start(thread)
+
+    def sampled_attend(*args):
+        running.append(threading.active_count())
+        return attend(*args)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    monkeypatch.setattr(ad, "_attend", sampled_attend)
+    before = threading.active_count()
+    solve(inst, SolveConfig(seed=7, max_epochs=2))
+    assert len(started) <= 1
+    assert running and max(running) <= before + 1
+    assert threading.active_count() == before
+
+
 def test_masks_drawn_ahead_or_inline_train_alike(monkeypatch):
-    # below THREAD_CELLS train draws each epoch's masks ahead on a thread of
-    # its own; from it, inline at the epoch's start.  Both read the same keys
+    # below THREAD_CELLS train's worker draws each epoch's masks ahead; from
+    # it, the worker runs the second direction and the masks are drawn at
+    # the epoch's start.  Both read the same keys
     inst = rand_instance(9)
     config = SolveConfig(seed=9, max_epochs=20)
     _, y_ahead, t_ahead, _, _ = train(inst, config)
     before = threading.active_count()
-    monkeypatch.setattr(ad, "THREAD_CELLS", 1)
+    monkeypatch.setattr(solver, "THREAD_CELLS", 1)
     _, y_inline, t_inline, _, _ = train(inst, config)
     assert threading.active_count() == before
     assert np.array_equal(y_ahead, y_inline) and t_ahead == t_inline
@@ -313,7 +344,7 @@ def test_solve_reproduces_recorded_results():
 
 
 # n = 600 gives 360000 score cells per attention direction, above
-# autodiff.THREAD_CELLS, so both directions run at once
+# solver.THREAD_CELLS, so the solve's worker runs the second direction
 LARGE_SOLVE = """
 import hashlib
 from hypersat.solver import SolveConfig, solve
@@ -358,8 +389,8 @@ def large_solve(epochs):
 
 
 def test_threaded_solve_in_forked_child():
-    # the first solve starts this process's attention worker thread; a
-    # forked child does not have that thread and must start its own
+    # a fork copies no thread, so a child forked after a threaded solve
+    # must start a worker of its own and solve alike
     here = large_solve(2)
     with multiprocessing.get_context("fork").Pool(1) as pool:
         there = pool.apply_async(large_solve, (2,)).get(timeout=60)
