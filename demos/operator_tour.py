@@ -6,21 +6,13 @@ Run:  python3 demos/operator_tour.py
 
 import numpy as np
 
-from hypersat import WcnfInstance, build_literal_hypergraph, normalized_operator
+from hypersat import build_literal_hypergraph, normalized_operator, parse_wcnf
 from hypersat.hypergraph import q_tilde
-from hypersat.wcnf import Clause
 
 
 def main():
     # (x1 or not x2 or x3) w=4, (not x1 or x2) w=2, (x2) w=3
-    inst = WcnfInstance(
-        3,
-        (
-            Clause((1, -2, 3), 4),
-            Clause((-1, 2), 2),
-            Clause((2,), 3),
-        ),
-    )
+    inst = parse_wcnf("p wcnf 3 3\n4 1 -2 3 0\n2 -1 2 0\n3 2 0\n")
     hg = build_literal_hypergraph(inst)
     names = ["x1", "x2", "x3", "~x1", "~x2", "~x3"]
     print("nodes:", ", ".join(f"{i}={n}" for i, n in enumerate(names)))

@@ -1,7 +1,6 @@
 """Unsupervised hypergraph neural network solver for Weighted MaxSAT."""
 
 from .wcnf import (
-    Clause,
     WcnfInstance,
     WcnfParseError,
     assign_random_weights,
@@ -25,7 +24,6 @@ from .oracle import OracleResult, exhaustive_optimum, local_search
 from .solver import SolveConfig, SolveResult, sample_assignments, solve, train
 
 __all__ = [
-    "Clause",
     "WcnfInstance",
     "WcnfParseError",
     "assign_random_weights",

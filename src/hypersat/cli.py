@@ -80,10 +80,14 @@ def cmd_gen(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for i in range(args.count):
         derived = args.seed + i
-        inst = generate_random_3sat(args.n, args.m, seed=derived)
-        inst = assign_random_weights(
-            inst, seed=derived, lo=args.weight_lo, hi=args.weight_hi
-        )
+        try:
+            inst = generate_random_3sat(args.n, args.m, seed=derived)
+            inst = assign_random_weights(
+                inst, seed=derived, lo=args.weight_lo, hi=args.weight_hi
+            )
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         path = out_dir / f"w3sat_n{args.n}_m{args.m}_{i:03d}.wcnf"
         path.write_text(write_wcnf(inst))
         print(f"wrote {path}")
@@ -112,23 +116,22 @@ def cmd_solve(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    records = []
-    out = open(args.out, "w") if args.out else None
-    for path in _expand_inputs(args.inputs):
-        try:
-            inst = _load_instance(path)
-        except (OSError, ValueError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            continue
-        result = solve(inst, config)
-        rec = result.to_dict()
-        records.append(rec)
-        line = json.dumps(rec)
-        print(line)
-        if out:
+    paths, records = _expand_inputs(args.inputs), []
+    # without --out the records go to the null device
+    with open(args.out or os.devnull, "w") as out:
+        for path in paths:
+            try:
+                result = solve(_load_instance(path), config)
+            except (OSError, ValueError, FloatingPointError) as exc:
+                # a file that fails to load or whose training diverges
+                # must not lose the instances after it
+                print(f"error: {path}: {exc}", file=sys.stderr)
+                continue
+            rec = result.to_dict()
+            records.append(rec)
+            line = json.dumps(rec)
+            print(line)
             out.write(line + "\n")
-    if out:
-        out.close()
     if not records:
         print("no instances solved", file=sys.stderr)
         return 1
@@ -136,12 +139,12 @@ def cmd_solve(args) -> int:
     print(
         f"summary: instances={len(records)} mean_unsat_weight={mean_unsat:.4f}"
     )
-    return 0
+    return 0 if len(records) == len(paths) else 1
 
 
 # A file's tasks run one after another (in a pool, mostly in one worker),
-# so one cached instance parses each file and builds its clause table and
-# occurrence lists once for all its methods and seeds.
+# so one cached instance parses each file into its clause arrays and builds
+# its occurrence lists once for all its methods and seeds.
 _bench_instance = functools.lru_cache(maxsize=1)(_load_instance)
 
 
@@ -193,7 +196,12 @@ def cmd_bench(args) -> int:
         print(f"no instances in {args.dataset_dir}", file=sys.stderr)
         return 1
     methods = args.methods.split(",")
-    seeds = [int(s) for s in args.seeds.split(",")]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError:
+        print(f"error: --seeds {args.seeds!r} is not a comma list of "
+              "integers", file=sys.stderr)
+        return 1
     tasks = [(p, m, s) for p in paths for m in methods for s in seeds]
     _bench_instance.cache_clear()  # a file may have changed since a last run
     if args.workers > 1:

@@ -47,11 +47,10 @@ def _build(
     instance: WcnfInstance, nodes: np.ndarray, num_nodes: int, mode: str
 ) -> LiteralHypergraph:
     """The hypergraph whose clause j holds the nodes of its literals."""
-    t = instance.clause_table
     # the CSR constructor sorts each row's clauses and merges the repeated
     # (node, clause) entries that a tautology leaves in variable mode
     h = sp.csr_matrix(
-        (np.ones(len(nodes)), (nodes, t.clause_of)),
+        (np.ones(len(nodes)), (nodes, instance.clause_of)),
         shape=(num_nodes, instance.num_clauses),
     )
     h.data[:] = 1.0
@@ -59,23 +58,23 @@ def _build(
         num_nodes=num_nodes,
         num_edges=instance.num_clauses,
         h=h,
-        edge_weights=t.weight,
-        node_degree=h @ t.weight.astype(np.float64),
+        edge_weights=instance.weight,
+        node_degree=h @ instance.weight.astype(np.float64),
         edge_degree=np.bincount(h.indices, minlength=instance.num_clauses),
         mode=mode,
     )
 
 
 def build_literal_hypergraph(instance: WcnfInstance) -> LiteralHypergraph:
-    t = instance.clause_table
     n = instance.num_vars
-    return _build(instance, t.var + n * ~t.positive, 2 * n, "literal")
+    return _build(
+        instance, instance.var + n * ~instance.positive, 2 * n, "literal"
+    )
 
 
 def build_variable_hypergraph(instance: WcnfInstance) -> LiteralHypergraph:
     """Ablation variant: one node per variable, polarity discarded."""
-    t = instance.clause_table
-    return _build(instance, t.var, instance.num_vars, "variable")
+    return _build(instance, instance.var, instance.num_vars, "variable")
 
 
 def q_tilde(hg: LiteralHypergraph) -> sp.csr_matrix:

@@ -53,15 +53,18 @@ class CompiledClauses:
 
 
 def compile_clauses(instance: WcnfInstance) -> CompiledClauses:
-    t = instance.clause_table
-    arity = t.arity
-    arity[t.tautology] = 0
+    arity = instance.arity
+    arity[instance.tautology] = 0
     groups = []
     for a in np.unique(arity[arity > 0]):
         clauses = np.flatnonzero(arity == a)
-        lits = t.start[clauses, None] + np.arange(a)
+        lits = instance.start[clauses, None] + np.arange(a)
         groups.append(
-            (t.var[lits], t.positive[lits], t.weight[clauses].astype(np.float64))
+            (
+                instance.var[lits],
+                instance.positive[lits],
+                instance.weight[clauses].astype(np.float64),
+            )
         )
     return CompiledClauses(
         num_vars=instance.num_vars,

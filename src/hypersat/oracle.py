@@ -48,7 +48,7 @@ def exhaustive_optimum(instance: WcnfInstance) -> OracleResult:
             f"n={n} exceeds exhaustive cap {MAX_EXHAUSTIVE_VARS}"
         )
     total = 1 << n
-    chunk = max(1, _CHUNK_CELLS // len(instance.clause_table.var))
+    chunk = max(1, _CHUNK_CELLS // len(instance.var))
     shifts = np.arange(n, dtype=np.int64)
     best_w = None
     assignment = None
@@ -80,14 +80,14 @@ def local_search(
     rng = make_rng(seed, 0x15)
     initial = rng.integers(0, 2, size=n).astype(np.int8)
 
-    t = instance.clause_table
     occ = instance.occurrence_lists
     occurs, clause_vars, weights = occ.occurs, occ.clause_vars, occ.weight
     true_count = np.add.reduceat(
-        (initial[t.var] == t.positive).astype(np.int64), t.start[:-1]
+        (initial[instance.var] == instance.positive).astype(np.int64),
+        instance.start[:-1],
     )
     unsat_mask = true_count == 0
-    unsat_w = int(t.weight[unsat_mask].sum())
+    unsat_w = int(instance.weight[unsat_mask].sum())
     best_w = unsat_w
     # plain Python lists: the walk reads and writes them one item at a time
     true_count = true_count.tolist()
@@ -131,7 +131,7 @@ def local_search(
         # rng.choice(m, p=w * unsat / unsat_w) bit for bit, over the
         # unsatisfied clauses only (see the module docstring)
         idx = unsat_mask.nonzero()[0]
-        cdf = (t.weight[idx] / unsat_w).cumsum()
+        cdf = (instance.weight[idx] / unsat_w).cumsum()
         cdf /= cdf[-1]
         j = int(idx[cdf.searchsorted(rng.random(), side="right")])
         vars_ = clause_vars[j]

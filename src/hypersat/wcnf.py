@@ -6,18 +6,17 @@ float64 sums of weights (the relaxed loss) are exact too.  The WCNF dialect
 is the classic ``p wcnf n m`` format where every clause line starts with its
 weight; all clauses are soft (no "top" hard-clause weight).
 
-Each instance compiles its clauses once into a ``ClauseTable`` of flat
-literal arrays, which also marks the tautologies; the evaluator, the loss,
-the hypergraph and both oracles all read that table.  The local search
-also reads ``OccurrenceLists``, the same clauses as Python lists, built
-once per instance.
+An instance is its clauses, stored once as flat read-only literal arrays
+that the constructor checks and in which it marks the tautologies; the
+evaluator, the loss, the hypergraph and both oracles all read them.  The
+local search also reads ``OccurrenceLists``, the same clauses as Python
+lists, derived once per instance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -34,59 +33,11 @@ class WcnfParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Clause:
-    """A disjunction of literals with a positive integer weight.
-
-    Literals are nonzero 1-based signed variable indices: ``+v`` is the
-    variable, ``-v`` its negation.
-    """
-
-    literals: tuple[int, ...]
-    weight: int = 1
-
-    def __post_init__(self):
-        if not self.literals:
-            raise ValueError("empty clause")
-        if any(lit == 0 for lit in self.literals):
-            raise ValueError("literal 0 is not allowed")
-        if len(set(self.literals)) != len(self.literals):
-            raise ValueError(f"duplicate literal in clause {self.literals}")
-        if self.weight < 1:
-            raise ValueError(f"clause weight must be >= 1, got {self.weight}")
-
-
 # float64 holds every integer below 2^53 exactly
 MAX_TOTAL_WEIGHT = 2**53 - 1
 # the most variables a header may declare: variable indices fit a signed
 # 32-bit int, and the 2n literal nodes stay far inside the int64 indices
 MAX_VARS = 2**31 - 1
-
-
-@dataclass(frozen=True)
-class ClauseTable:
-    """The clauses as flat literal arrays, in clause order.
-
-    Clause j owns the literals ``start[j]:start[j + 1]``; literal l is
-    variable ``var[l]`` (0-based), true when that variable equals
-    ``positive[l]``.  ``tautology[j]`` is True where clause j holds both x
-    and not x, so that no assignment leaves it unsatisfied.
-    """
-
-    var: np.ndarray  # int64, one per literal
-    positive: np.ndarray  # bool, one per literal
-    start: np.ndarray  # int64, num_clauses + 1 offsets
-    weight: np.ndarray  # int64, one per clause
-    tautology: np.ndarray  # bool, one per clause
-
-    @property
-    def arity(self) -> np.ndarray:
-        return np.diff(self.start)
-
-    @property
-    def clause_of(self) -> np.ndarray:
-        """Clause index of each literal."""
-        return np.repeat(np.arange(len(self.weight)), self.arity)
 
 
 @dataclass(frozen=True)
@@ -97,6 +48,7 @@ class OccurrenceLists:
     v (0-based) in clause order, polarity 1 for ``+v`` and 0 for ``-v``,
     leaving out tautologies, which no flip can break or mend;
     ``clause_vars[j]`` lists the variables of clause j in literal order.
+    They are derived from an instance's arrays, which cannot change.
     """
 
     occurs: list[list[tuple[int, int]]]
@@ -104,81 +56,105 @@ class OccurrenceLists:
     weight: list[int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WcnfInstance:
-    """A Weighted MaxSAT instance: n variables and m weighted clauses."""
+    """A Weighted MaxSAT instance: n variables and m weighted clauses, as
+    flat literal arrays in clause order.
+
+    Clause j owns the literals ``start[j]:start[j + 1]``; literal l is
+    variable ``var[l]`` (0-based), true when that variable equals
+    ``positive[l]``.  ``tautology[j]`` is True where clause j holds both x
+    and not x, so that no assignment leaves it unsatisfied.
+
+    The constructor checks the arrays and stores them read-only, so that
+    nothing derived from them can go stale; an argument that already has
+    the right dtype is kept, not copied, and becomes read-only (the array
+    it views, if it is a view, does not).
+    """
 
     num_vars: int
-    clauses: tuple[Clause, ...]
+    var: np.ndarray  # int64, one per literal
+    positive: np.ndarray  # bool, one per literal
+    start: np.ndarray  # int64, num_clauses + 1 offsets
+    weight: np.ndarray  # int64, one per clause
     name: str = ""
+    tautology: np.ndarray = field(init=False, repr=False)  # bool, per clause
 
     def __post_init__(self):
-        if self.num_vars < 1:
+        for name, dtype in (("var", np.int64), ("positive", bool),
+                            ("start", np.int64), ("weight", np.int64)):
+            array = np.asarray(getattr(self, name), dtype=dtype)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        var, start, n = self.var, self.start, self.num_vars
+        if n < 1:
             raise ValueError("num_vars must be >= 1")
-        if not self.clauses:
+        if not (
+            var.ndim == self.positive.ndim == start.ndim == self.weight.ndim == 1
+            and len(start) == len(self.weight) + 1
+            and len(self.positive) == len(var) == start[-1]
+            and start[0] == 0
+        ):
+            raise ValueError("the clause arrays do not fit together")
+        if self.num_clauses < 1:
             raise ValueError("instance must have at least one clause")
-        for cl in self.clauses:
-            for lit in cl.literals:
-                if abs(lit) > self.num_vars:
-                    raise ValueError(
-                        f"literal {lit} out of range for n={self.num_vars}"
-                    )
-        if self.total_weight() > MAX_TOTAL_WEIGHT:
+        if (empty := self.arity < 1).any():
+            raise ValueError(f"empty clause {int(empty.argmax())}")
+        if (out := (var < 0) | (var >= n)).any():
+            raise ValueError(f"variable {int(var[out][0])} out of range for n={n}")
+        if (self.weight < 1).any():
+            raise ValueError("clause weights must be >= 1")
+        # a Python sum, which cannot wrap around as an int64 sum could
+        if (total := sum(self.weight.tolist())) > MAX_TOTAL_WEIGHT:
+            raise ValueError(f"total weight {total} is not below 2^53")
+        # sorted stably by variable, the literals of one variable in one
+        # clause are neighbours: two of one polarity, or three, repeat a
+        # literal, and two of both polarities make a tautology
+        order = np.argsort(var, kind="stable")
+        c, v, p = self.clause_of[order], var[order], self.positive[order]
+        same = (c[1:] == c[:-1]) & (v[1:] == v[:-1])
+        repeat = same & (p[1:] == p[:-1])
+        repeat[1:] |= same[1:] & same[:-1]
+        if repeat.any():
             raise ValueError(
-                f"total weight {self.total_weight()} is not below 2^53"
+                f"duplicate literal in clause {int(c[1:][repeat][0])}"
             )
+        tautology = np.zeros(self.num_clauses, dtype=bool)
+        tautology[c[1:][same]] = True
+        tautology.flags.writeable = False
+        object.__setattr__(self, "tautology", tautology)
 
     @property
     def num_clauses(self) -> int:
-        return len(self.clauses)
+        return len(self.weight)
+
+    @property
+    def arity(self) -> np.ndarray:
+        return np.diff(self.start)
+
+    @property
+    def clause_of(self) -> np.ndarray:
+        """Clause index of each literal."""
+        return np.repeat(np.arange(self.num_clauses), self.arity)
 
     def total_weight(self) -> int:
-        return sum(cl.weight for cl in self.clauses)
-
-    @cached_property
-    def clause_table(self) -> ClauseTable:
-        """The clauses compiled into flat arrays, built on first use."""
-        arity = [len(cl.literals) for cl in self.clauses]
-        lits = np.fromiter(
-            chain.from_iterable(cl.literals for cl in self.clauses),
-            dtype=np.int64,
-            count=sum(arity),
-        )
-        var = np.abs(lits) - 1
-        # literals are distinct, so a variable occurs twice in a clause only
-        # with both polarities, and sorted stably by variable those two
-        # literals are neighbours
-        order = np.argsort(var, kind="stable")
-        c = np.repeat(np.arange(len(arity)), arity)[order]
-        v = var[order]
-        tautology = np.zeros(len(arity), dtype=bool)
-        tautology[c[1:][(c[1:] == c[:-1]) & (v[1:] == v[:-1])]] = True
-        return ClauseTable(
-            var=var,
-            positive=lits > 0,
-            start=np.concatenate([[0], np.cumsum(arity)]).astype(np.int64),
-            weight=np.array([cl.weight for cl in self.clauses], dtype=np.int64),
-            tautology=tautology,
-        )
+        return int(self.weight.sum())
 
     @cached_property
     def occurrence_lists(self) -> OccurrenceLists:
-        """The clause table as lists, built on first use; it needs n, which
-        the table cannot tell when the last variables occur nowhere."""
-        t = self.clause_table
-        clause_of = t.clause_of
-        kept = np.flatnonzero(~t.tautology[clause_of])
-        order = kept[np.argsort(t.var[kept], kind="stable")]
-        pairs = list(
-            zip(clause_of[order].tolist(), t.positive[order].astype(int).tolist())
-        )
-        counts = np.bincount(t.var[kept], minlength=self.num_vars)
+        """The clauses as lists, built on first use."""
+        var, clause_of = self.var, self.clause_of
+        kept = np.flatnonzero(~self.tautology[clause_of])
+        order = kept[np.argsort(var[kept], kind="stable")]
+        polarity = self.positive[order].astype(int)
+        pairs = list(zip(clause_of[order].tolist(), polarity.tolist()))
+        counts = np.bincount(var[kept], minlength=self.num_vars)
         bounds = [0] + np.cumsum(counts).tolist()
-        lit_var, starts = t.var.tolist(), t.start.tolist()
+        lit_var, starts = var.tolist(), self.start.tolist()
         return OccurrenceLists(
             occurs=[pairs[a:b] for a, b in zip(bounds, bounds[1:])],
             clause_vars=[lit_var[a:b] for a, b in zip(starts, starts[1:])],
-            weight=t.weight.tolist(),
+            weight=self.weight.tolist(),
         )
 
 
@@ -196,7 +172,9 @@ def _parse_dimacs(text: str, weighted: bool, name: str) -> WcnfInstance:
     fmt = "wcnf" if weighted else "cnf"
     num_vars = None
     num_clauses = None
-    clauses: list[Clause] = []
+    literals: list[int] = []  # every clause's literals, concatenated
+    starts = [0]
+    weights: list[int] = []
     total_weight = 0
     pending: list[int] = []  # literal tokens of the clause being read
     pending_weight: int | None = None
@@ -263,18 +241,20 @@ def _parse_dimacs(text: str, weighted: bool, name: str) -> WcnfInstance:
                         raise WcnfParseError(
                             f"literal {lit} out of range", clause_start_line
                         )
-                try:
-                    clauses.append(
-                        Clause(tuple(pending), weight=pending_weight)
+                if len(set(pending)) != len(pending):
+                    raise WcnfParseError(
+                        f"duplicate literal in clause {tuple(pending)}",
+                        clause_start_line,
                     )
-                except ValueError as exc:
-                    raise WcnfParseError(str(exc), clause_start_line)
                 total_weight += pending_weight
                 if total_weight > MAX_TOTAL_WEIGHT:
                     raise WcnfParseError(
                         f"total weight {total_weight} reaches 2^53",
                         clause_start_line,
                     )
+                literals.extend(pending)
+                starts.append(len(literals))
+                weights.append(pending_weight)
                 pending = []
                 pending_weight = None
             else:
@@ -284,12 +264,16 @@ def _parse_dimacs(text: str, weighted: bool, name: str) -> WcnfInstance:
         raise WcnfParseError("missing header")
     if pending or pending_weight is not None:
         raise WcnfParseError("unterminated clause", clause_start_line)
-    if len(clauses) != num_clauses:
+    if len(weights) != num_clauses:
         raise WcnfParseError(
             f"clause count mismatch: header says {num_clauses}, "
-            f"found {len(clauses)}"
+            f"found {len(weights)}"
         )
-    return WcnfInstance(num_vars=num_vars, clauses=tuple(clauses), name=name)
+    # every value was checked against its limit above, so each fits int64
+    lits = np.array(literals, dtype=np.int64)
+    return WcnfInstance(
+        num_vars, np.abs(lits) - 1, lits > 0, starts, weights, name=name
+    )
 
 
 def parse_cnf(text: str, name: str = "") -> WcnfInstance:
@@ -304,10 +288,12 @@ def parse_wcnf(text: str, name: str = "") -> WcnfInstance:
 
 def write_wcnf(instance: WcnfInstance) -> str:
     """Canonical WCNF text; round-trips through parse_wcnf."""
+    var = instance.var
+    lits = np.where(instance.positive, var + 1, -1 - var).tolist()
+    starts = instance.start.tolist()
     lines = [f"p wcnf {instance.num_vars} {instance.num_clauses}"]
-    for cl in instance.clauses:
-        lits = " ".join(str(l) for l in cl.literals)
-        lines.append(f"{cl.weight} {lits} 0")
+    for w, a, b in zip(instance.weight.tolist(), starts, starts[1:]):
+        lines.append(f"{w} {' '.join(map(str, lits[a:b]))} 0")
     return "\n".join(lines) + "\n"
 
 
@@ -319,11 +305,7 @@ def assign_random_weights(
         raise ValueError(f"invalid weight range [{lo}, {hi}]")
     rng = make_rng(seed, 0x57)
     weights = rng.integers(lo, hi + 1, size=instance.num_clauses)
-    clauses = tuple(
-        Clause(cl.literals, weight=int(w))
-        for cl, w in zip(instance.clauses, weights)
-    )
-    return WcnfInstance(instance.num_vars, clauses, name=instance.name)
+    return replace(instance, weight=weights)
 
 
 def evaluate(instance: WcnfInstance, assignment: np.ndarray) -> EvalResult:
@@ -335,11 +317,10 @@ def evaluate(instance: WcnfInstance, assignment: np.ndarray) -> EvalResult:
             f"assignment shape {values.shape} does not match "
             f"n={instance.num_vars}"
         )
-    t = instance.clause_table
-    lit_true = (values[..., t.var] != 0) == t.positive
-    flags = np.logical_or.reduceat(lit_true, t.start[:-1], axis=-1)
-    sat = np.where(flags, t.weight, 0).sum(axis=-1)
-    unsat = np.where(flags, 0, t.weight).sum(axis=-1)
+    lit_true = (values[..., instance.var] != 0) == instance.positive
+    flags = np.logical_or.reduceat(lit_true, instance.start[:-1], axis=-1)
+    sat = np.where(flags, instance.weight, 0).sum(axis=-1)
+    unsat = np.where(flags, 0, instance.weight).sum(axis=-1)
     if values.ndim == 1:
         sat, unsat = int(sat), int(unsat)
     return EvalResult(sat_weight=sat, unsat_weight=unsat, clause_flags=flags)
@@ -351,9 +332,12 @@ def generate_random_3sat(n: int, m: int, seed: int) -> WcnfInstance:
     if n < 3:
         raise ValueError("need n >= 3 for 3-SAT clauses")
     rng = make_rng(seed, 0x35)
-    clauses = []
-    for _ in range(m):
-        vars_ = rng.choice(n, size=3, replace=False) + 1
-        signs = rng.integers(0, 2, size=3) * 2 - 1
-        clauses.append(Clause(tuple(int(v * s) for v, s in zip(vars_, signs))))
-    return WcnfInstance(n, tuple(clauses), name=f"rand3sat_n{n}_m{m}_s{seed}")
+    var = np.zeros((m, 3), dtype=np.int64)
+    positive = np.zeros((m, 3), dtype=bool)
+    for j in range(m):
+        var[j] = rng.choice(n, size=3, replace=False)
+        positive[j] = rng.integers(0, 2, size=3) == 1
+    return WcnfInstance(
+        n, var.ravel(), positive.ravel(), np.arange(0, 3 * m + 1, 3),
+        np.ones(m, int), name=f"rand3sat_n{n}_m{m}_s{seed}",
+    )

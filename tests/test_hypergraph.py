@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clause_lists import make_instance
 from hypersat.hypergraph import (
     build_literal_hypergraph,
     build_variable_hypergraph,
@@ -18,12 +19,7 @@ from hypersat.hypergraph import (
     q_tilde,
 )
 from hypersat.rng import make_rng
-from hypersat.wcnf import (
-    Clause,
-    WcnfInstance,
-    assign_random_weights,
-    generate_random_3sat,
-)
+from hypersat.wcnf import assign_random_weights, generate_random_3sat
 
 
 def dense_q_tilde(hg):
@@ -40,15 +36,11 @@ def dense_normalized(hg):
     return np.diag(inv_sqrt) @ qt @ np.diag(inv_sqrt)
 
 
+SMALL_CLAUSES = [((1, -2, 3), 4), ((-1, 2), 2), ((2,), 3)]
+
+
 def small_instance():
-    return WcnfInstance(
-        3,
-        (
-            Clause((1, -2, 3), 4),
-            Clause((-1, 2), 2),
-            Clause((2,), 3),
-        ),
-    )
+    return make_instance(3, SMALL_CLAUSES)
 
 
 def mixed_arity_instance(seed, n=30, m=90):
@@ -59,8 +51,8 @@ def mixed_arity_instance(seed, n=30, m=90):
         vars_ = rng.choice(n, size=int(rng.integers(1, 9)), replace=False) + 1
         signs = rng.integers(0, 2, size=len(vars_)) * 2 - 1
         lits = tuple(int(v * s) for v, s in zip(vars_, signs))
-        clauses.append(Clause(lits, int(rng.integers(1, 100))))
-    return WcnfInstance(n, tuple(clauses))
+        clauses.append((lits, int(rng.integers(1, 100))))
+    return make_instance(n, clauses)
 
 
 def edge_nodes(hg, j):
@@ -70,9 +62,7 @@ def edge_nodes(hg, j):
 
 def test_literal_node_layout():
     # +v -> v-1, -v -> n+v-1
-    inst = WcnfInstance(
-        3, (Clause((1,)), Clause((3,)), Clause((-1,)), Clause((-3,)))
-    )
+    inst = make_instance(3, [((1,), 1), ((3,), 1), ((-1,), 1), ((-3,), 1)])
     hg = build_literal_hypergraph(inst)
     assert [edge_nodes(hg, j) for j in range(4)] == [(0,), (2,), (3,), (5,)]
 
@@ -100,7 +90,7 @@ def test_variable_hypergraph_merges_polarity():
 
 
 def test_variable_hypergraph_dedups_opposite_literals():
-    inst = WcnfInstance(2, (Clause((1, -1, 2), 1),))
+    inst = make_instance(2, [((1, -1, 2), 1)])
     hg = build_variable_hypergraph(inst)
     assert edge_nodes(hg, 0) == (0, 1)
     assert hg.edge_degree[0] == 2
@@ -109,7 +99,7 @@ def test_variable_hypergraph_dedups_opposite_literals():
 
 def test_q_tilde_hand_computed():
     # single clause (x1 or x2 or x3): delta=3, off-diagonals 1/2
-    inst = WcnfInstance(3, (Clause((1, 2, 3), 1),))
+    inst = make_instance(3, [((1, 2, 3), 1)])
     qt = q_tilde(build_literal_hypergraph(inst)).toarray()
     expected = np.zeros((6, 6))
     for a in range(3):
@@ -127,7 +117,7 @@ def test_q_tilde_zero_diagonal_and_symmetric():
 
 
 def test_unit_edge_contributes_nothing_off_diagonal():
-    inst = WcnfInstance(2, (Clause((1,), 5), Clause((1, 2), 1)))
+    inst = make_instance(2, [((1,), 5), ((1, 2), 1)])
     hg = build_literal_hypergraph(inst)
     qt = q_tilde(hg).toarray()
     # only the x1-x2 pair from the second clause appears
@@ -188,7 +178,7 @@ def test_mixed_arity_operator_reproduces_recorded_bits():
 
 
 def test_isolated_nodes_give_zero_rows():
-    inst = WcnfInstance(3, (Clause((1, 2), 1),))
+    inst = make_instance(3, [((1, 2), 1)])
     s = normalized_operator(build_literal_hypergraph(inst)).matrix.toarray()
     for node in (2, 3, 4, 5):  # x3 and all negations are isolated
         assert np.all(s[node] == 0)
@@ -201,8 +191,8 @@ def test_incidence_matches_edges():
     h = hg.h.toarray()
     assert h.shape == (6, 3)
     n = inst.num_vars
-    for j, cl in enumerate(inst.clauses):
-        nodes = [l - 1 if l > 0 else n - l - 1 for l in cl.literals]
+    for j, (lits, _) in enumerate(SMALL_CLAUSES):
+        nodes = [l - 1 if l > 0 else n - l - 1 for l in lits]
         assert list(np.flatnonzero(h[:, j])) == sorted(nodes)
     assert np.array_equal(h.sum(axis=0), hg.edge_degree)
     assert np.array_equal(h @ hg.edge_weights, hg.node_degree)

@@ -1,10 +1,12 @@
 """Network construction, forward-pass semantics, and structural invariants."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
+from clause_lists import make_instance
 from hypersat import autodiff as ad
 from hypersat.hypergraph import (
     build_literal_hypergraph,
@@ -20,12 +22,7 @@ from hypersat.model import (
     round_half_up,
 )
 from hypersat.rng import derive_key, make_rng
-from hypersat.wcnf import (
-    Clause,
-    WcnfInstance,
-    assign_random_weights,
-    generate_random_3sat,
-)
+from hypersat.wcnf import assign_random_weights, generate_random_3sat
 
 
 def rand_setup(n=8, m=25, seed=0, **cfg):
@@ -149,7 +146,7 @@ def test_variable_mode_has_no_transformer_params():
 
 def test_conv_layer_hand_computed():
     # identity-free check: out = relu(S @ L @ R) on a 1-clause instance
-    inst = WcnfInstance(2, (Clause((1, 2), 4),))
+    inst = make_instance(2, [((1, 2), 4)])
     s = normalized_operator(build_literal_hypergraph(inst))
     # S: nodes 0,1 coupled with 1/max(delta-1,1)=1, degrees 4 -> entry 1/4
     dense = s.matrix.toarray()
@@ -163,7 +160,7 @@ def test_conv_layer_hand_computed():
 
 
 def test_conv_layer_identity_activation():
-    inst = WcnfInstance(2, (Clause((1, -2), 1),))
+    inst = make_instance(2, [((1, -2), 1)])
     s = normalized_operator(build_literal_hypergraph(inst))
     l = ad.Tensor(-np.ones((4, 2)))
     r = ad.Tensor(np.ones((2, 1)))
@@ -257,19 +254,7 @@ def test_variable_relabeling_permutes_probabilities():
         generate_random_3sat(n, 24, seed=seed), seed=seed
     )
     perm = list(make_rng(seed, 0xE0).permutation(n))  # old var v -> perm[v-1]+1
-    relabeled = WcnfInstance(
-        n,
-        tuple(
-            Clause(
-                tuple(
-                    int(np.sign(l)) * (perm[abs(l) - 1] + 1)
-                    for l in cl.literals
-                ),
-                cl.weight,
-            )
-            for cl in inst.clauses
-        ),
-    )
+    relabeled = dataclasses.replace(inst, var=np.array(perm)[inst.var])
     config = ModelConfig(num_vars=n, seed=seed)
 
     def run(instance, embed_rows):

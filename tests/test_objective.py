@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clause_lists import make_instance, random_3sat_clauses
 from hypersat import autodiff as ad
 from hypersat.objective import (
     LossBreakdown,
@@ -14,13 +15,7 @@ from hypersat.objective import (
     task_loss,
 )
 from hypersat.rng import make_rng
-from hypersat.wcnf import (
-    Clause,
-    WcnfInstance,
-    assign_random_weights,
-    evaluate,
-    generate_random_3sat,
-)
+from hypersat.wcnf import assign_random_weights, evaluate, generate_random_3sat
 
 
 def rand_instance(seed, n=8, m=25):
@@ -41,31 +36,33 @@ def small_instances(draw):
         lits = [v * draw(st.sampled_from([-1, 1])) for v in vars_]
         if draw(st.booleans()):
             lits.append(-lits[0])
-        clauses.append(Clause(tuple(lits), draw(st.integers(1, 1000))))
-    return WcnfInstance(n, tuple(clauses))
+        clauses.append((lits, draw(st.integers(1, 1000))))
+    return make_instance(n, clauses)
 
 
 def loss_of(instance, y):
     return loss_and_grad(compile_clauses(instance), y)[0]
 
 
-def naive_task_loss(instance, y):
+def naive_task_loss(clauses, y):
+    """The loss summed clause by clause over ``(literals, weight)`` pairs."""
     total = 0.0
-    for cl in instance.clauses:
+    for lits, weight in clauses:
         prod = 1.0
-        for lit in cl.literals:
+        for lit in lits:
             v = y[abs(lit) - 1]
             prod *= (1.0 - v) if lit > 0 else v
-        total += cl.weight * prod
+        total += weight * prod
     return total
 
 
 @given(st.integers(0, 5_000))
 @settings(max_examples=50, deadline=None)
 def test_matches_naive_reference(seed):
-    inst = rand_instance(seed)
-    y = make_rng(seed, 0xC0).random(inst.num_vars)
-    assert abs(loss_of(inst, y) - naive_task_loss(inst, y)) < 1e-12
+    clauses = random_3sat_clauses(seed, n=8, m=25)
+    y = make_rng(seed, 0xC0).random(8)
+    loss = loss_of(make_instance(8, clauses), y)
+    assert abs(loss - naive_task_loss(clauses, y)) < 1e-12
 
 
 @given(
@@ -106,9 +103,7 @@ def test_loss_bounded_by_total_weight(seed):
 
 
 def test_mixed_arity_clauses():
-    inst = WcnfInstance(
-        3, (Clause((1,), 2), Clause((-1, 2), 3), Clause((1, -2, 3), 5))
-    )
+    inst = make_instance(3, [((1,), 2), ((-1, 2), 3), ((1, -2, 3), 5)])
     y = np.array([0.5, 0.25, 0.8])
     expected = (
         2 * 0.5 + 3 * (0.5 * 0.75) + 5 * (0.5 * 0.25 * 0.2)
@@ -177,8 +172,8 @@ def test_one_pass_matches_two_passes_bit_for_bit(seed):
         vars_ = rng.choice(60, size=a, replace=False) + 1
         lits = vars_ * rng.choice([-1, 1], size=a)
         weight = int(rng.integers(1, 1001))
-        clauses.append(Clause(tuple(int(l) for l in lits), weight))
-    compiled = compile_clauses(WcnfInstance(60, tuple(clauses)))
+        clauses.append((lits.tolist(), weight))
+    compiled = compile_clauses(make_instance(60, clauses))
     y = rng.random(60)
     y[rng.random(60) < 0.2] = 1.0
     y[rng.random(60) < 0.1] = 0.0

@@ -9,27 +9,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clause_lists import make_instance, random_3sat_clauses
 from hypersat import oracle
 from hypersat.oracle import exhaustive_optimum, local_search
 from hypersat.rng import make_rng
 from hypersat.wcnf import (
-    Clause,
-    WcnfInstance,
     assign_random_weights,
     evaluate,
     generate_random_3sat,
 )
 
 
-def naive_optimum(instance):
-    """Independent double-loop reference over all assignments."""
-    n = instance.num_vars
+def naive_optimum(n, clauses):
+    """Independent double-loop reference over all assignments of n
+    variables, reading ``(literals, weight)`` pairs."""
     best = None
     for idx in range(1 << n):
         w = sum(
-            cl.weight
-            for cl in instance.clauses
-            if not any(((idx >> (abs(l) - 1)) & 1) == (l > 0) for l in cl.literals)
+            weight
+            for lits, weight in clauses
+            if not any(((idx >> (abs(l) - 1)) & 1) == (l > 0) for l in lits)
         )
         if best is None or w < best:
             best = w
@@ -45,30 +44,31 @@ def rand_instance(seed, n=6, m=20):
 @given(st.integers(0, 3_000))
 @settings(max_examples=25, deadline=None)
 def test_exhaustive_matches_naive_reference(seed):
-    inst = rand_instance(seed)
+    clauses = random_3sat_clauses(seed, n=6, m=20)
+    inst = make_instance(6, clauses)
     res = exhaustive_optimum(inst)
-    assert res.best_unsat_weight == naive_optimum(inst)
+    assert res.best_unsat_weight == naive_optimum(6, clauses)
     assert evaluate(inst, res.best_assignment).unsat_weight == res.best_unsat_weight
     assert res.steps == 1 << inst.num_vars
 
 
 def test_exhaustive_hand_case():
     # (x1) w=3, (not x1) w=5: best keeps the heavier clause satisfied
-    inst = WcnfInstance(1, (Clause((1,), 3), Clause((-1,), 5)))
+    inst = make_instance(1, [((1,), 3), ((-1,), 5)])
     res = exhaustive_optimum(inst)
     assert res.best_unsat_weight == 3
     assert res.best_assignment[0] == 0
 
 
 def test_exhaustive_satisfiable_case():
-    inst = WcnfInstance(2, (Clause((1, 2), 7), Clause((-1, 2), 9)))
+    inst = make_instance(2, [((1, 2), 7), ((-1, 2), 9)])
     res = exhaustive_optimum(inst)
     assert res.best_unsat_weight == 0
 
 
 def test_exhaustive_tie_breaks_to_lowest_index():
     # both assignments of x1 leave weight 1 unsatisfied; index 0 wins
-    inst = WcnfInstance(1, (Clause((1,), 1), Clause((-1,), 1)))
+    inst = make_instance(1, [((1,), 1), ((-1,), 1)])
     res = exhaustive_optimum(inst)
     assert res.best_assignment[0] == 0
 
@@ -132,7 +132,7 @@ def test_local_search_more_steps_never_worse():
 
 
 def test_local_search_stops_early_when_satisfied():
-    inst = WcnfInstance(3, (Clause((1, 2), 4), Clause((-1, 3), 2)))
+    inst = make_instance(3, [((1, 2), 4), ((-1, 3), 2)])
     res = local_search(inst, max_steps=100_000, seed=0)
     assert res.best_unsat_weight == 0
     assert res.steps < 100_000
@@ -141,9 +141,7 @@ def test_local_search_stops_early_when_satisfied():
 def test_local_search_greedy_step_ignores_tautologies():
     # from x = (0, 0) the greedy step must flip x1 to satisfy (x1 or x2):
     # flipping x1 cannot break (x1 or not x1), however heavy it is
-    inst = WcnfInstance(
-        2, (Clause((1, 2), 1), Clause((1, -1), 100), Clause((-2,), 1))
-    )
+    inst = make_instance(2, [((1, 2), 1), ((1, -1), 100), ((-2,), 1)])
     res = local_search(inst, max_steps=50, seed=1, noise=0.0)
     assert res.best_unsat_weight == 0
 
@@ -167,25 +165,26 @@ def test_local_search_checks_its_result(monkeypatch):
         local_search(rand_instance(4), max_steps=100, seed=4)
 
 
-def reference_walk(instance, max_steps, seed, noise=0.5):
-    """The walk as first written: it samples with rng.choice over all m
-    clauses and keeps its state in numpy arrays.  Tautologies are left out
-    of the occurrence lists, since no flip breaks or mends them."""
-    n, m = instance.num_vars, instance.num_clauses
+def reference_walk(n, clauses, max_steps, seed, noise=0.5):
+    """The walk as first written, over ``(literals, weight)`` pairs: it
+    samples with rng.choice over all m clauses and keeps its state in numpy
+    arrays.  Tautologies are left out of the occurrence lists, since no
+    flip breaks or mends them."""
+    m = len(clauses)
     rng = make_rng(seed, 0x15)
     assignment = rng.integers(0, 2, size=n).astype(np.int8)
-    weights = np.array([cl.weight for cl in instance.clauses], dtype=np.int64)
-    clause_vars = [[abs(l) - 1 for l in cl.literals] for cl in instance.clauses]
+    weights = np.array([w for _, w in clauses], dtype=np.int64)
+    clause_vars = [[abs(l) - 1 for l in lits] for lits, _ in clauses]
     occurs = [[] for _ in range(n)]
-    for j, cl in enumerate(instance.clauses):
-        if any(-lit in cl.literals for lit in cl.literals):
+    for j, (lits, _) in enumerate(clauses):
+        if any(-lit in lits for lit in lits):
             continue
-        for lit in cl.literals:
+        for lit in lits:
             occurs[abs(lit) - 1].append((j, int(lit > 0)))
     true_count = np.array(
         [
-            sum(assignment[abs(l) - 1] == (l > 0) for l in cl.literals)
-            for cl in instance.clauses
+            sum(assignment[abs(l) - 1] == (l > 0) for l in lits)
+            for lits, _ in clauses
         ],
         dtype=np.int64,
     )
@@ -237,8 +236,11 @@ def reference_walk(instance, max_steps, seed, noise=0.5):
     return best_w, best_assignment, steps
 
 
-def assert_walks_like_reference(inst, max_steps, seed, noise):
-    best_w, best_assignment, steps = reference_walk(inst, max_steps, seed, noise)
+def assert_walks_like_reference(n, clauses, max_steps, seed, noise):
+    best_w, best_assignment, steps = reference_walk(
+        n, clauses, max_steps, seed, noise
+    )
+    inst = make_instance(n, clauses)
     res = local_search(inst, max_steps=max_steps, seed=seed, noise=noise)
     assert res.best_unsat_weight == best_w
     assert res.best_assignment.dtype == best_assignment.dtype == np.int8
@@ -248,8 +250,8 @@ def assert_walks_like_reference(inst, max_steps, seed, noise):
 
 @st.composite
 def walk_instances(draw, tautology_odds=20):
-    """Small instances with unit clauses, tautologies (one clause in
-    ``tautology_odds``) and weights up to 2^40."""
+    """(n, clauses) of small instances with unit clauses, tautologies (one
+    clause in ``tautology_odds``) and weights up to 2^40."""
     n = draw(st.integers(1, 12))
     clauses = []
     for _ in range(draw(st.integers(1, 30))):
@@ -259,8 +261,8 @@ def walk_instances(draw, tautology_odds=20):
         lits = [v if draw(st.booleans()) else -v for v in vars_]
         if draw(st.integers(1, tautology_odds)) == 1:
             lits.append(-lits[0])  # tautology
-        clauses.append(Clause(tuple(lits), draw(st.integers(1, 2**40))))
-    return WcnfInstance(n, tuple(clauses))
+        clauses.append((tuple(lits), draw(st.integers(1, 2**40))))
+    return n, clauses
 
 
 @given(
@@ -271,11 +273,11 @@ def walk_instances(draw, tautology_odds=20):
 )
 @settings(max_examples=150, deadline=None)
 def test_local_search_walks_like_rng_choice_over_all_clauses(
-    inst, max_steps, seed, noise
+    instance, max_steps, seed, noise
 ):
     # sampling among the unsatisfied clauses must draw the very clause that
     # rng.choice(m, p=...) draws; a change to numpy's choice fails here
-    assert_walks_like_reference(inst, max_steps, seed, noise)
+    assert_walks_like_reference(*instance, max_steps, seed, noise)
 
 
 @given(
@@ -284,11 +286,13 @@ def test_local_search_walks_like_rng_choice_over_all_clauses(
     st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=100, deadline=None)
-def test_local_search_greedy_walk_with_many_tautologies(inst, max_steps, seed):
+def test_local_search_greedy_walk_with_many_tautologies(
+    instance, max_steps, seed
+):
     # every step greedy and about half the clauses tautologies, so the walk
     # often weighs flipping a variable whose literal is the only true one
     # of a tautology; counting that clause as broken picks another flip
-    assert_walks_like_reference(inst, max_steps, seed, 0.0)
+    assert_walks_like_reference(*instance, max_steps, seed, 0.0)
 
 
 def mixed_arity_instance(seed, n=300, m=1200):
@@ -306,8 +310,8 @@ def mixed_arity_instance(seed, n=300, m=1200):
     for k in sizes:
         vars_ = rng.choice(n, size=k, replace=False) + 1
         lits = vars_ * (rng.integers(0, 2, size=k) * 2 - 1)
-        clauses.append(Clause(tuple(lits.tolist()), int(rng.integers(1, 1001))))
-    return WcnfInstance(n, tuple(clauses))
+        clauses.append((lits.tolist(), int(rng.integers(1, 1001))))
+    return make_instance(n, clauses)
 
 
 @pytest.mark.parametrize(

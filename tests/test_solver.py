@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import hypersat
+from clause_lists import make_instance
 from hypersat import autodiff as ad
 from hypersat import solver
 from hypersat.objective import LossBreakdown
@@ -30,8 +31,6 @@ from hypersat.solver import (
     train,
 )
 from hypersat.wcnf import (
-    Clause,
-    WcnfInstance,
     assign_random_weights,
     evaluate,
     generate_random_3sat,
@@ -144,7 +143,7 @@ def test_gradient_errors_reproduce_recorded_values():
 
 def test_training_reduces_loss_on_easy_instance():
     # a single-clause instance is satisfiable; loss should approach zero
-    inst = WcnfInstance(4, (Clause((1, 2, 3), 6), Clause((-1, 4), 3)))
+    inst = make_instance(4, [((1, 2, 3), 6), ((-1, 4), 3)])
     config = SolveConfig(seed=1, max_epochs=150)
     _, y, trace, epochs, final = train(inst, config)
     assert final.task < 0.5
@@ -273,7 +272,7 @@ def test_variable_mode_trains():
 
 
 def test_sampling_respects_degenerate_probabilities():
-    inst = WcnfInstance(3, (Clause((1, -2, 3), 1),))
+    inst = make_instance(3, [((1, -2, 3), 1)])
     assignment, unsat = sample_assignments(
         np.array([1.0, 0.0, 1.0]), inst, k=3, seed=0
     )

@@ -1,15 +1,17 @@
 """Parsing, serialization, evaluation, and generation of weighted CNF."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clause_lists import make_instance
 from hypersat.rng import make_rng
 from hypersat.wcnf import (
+    MAX_TOTAL_WEIGHT,
     MAX_VARS,
-    Clause,
-    WcnfInstance,
     WcnfParseError,
     assign_random_weights,
     evaluate,
@@ -20,21 +22,22 @@ from hypersat.wcnf import (
 )
 
 
-def reference_evaluate(instance, values):
-    """Per-clause loop: (sat weight, unsat weight, satisfied flags)."""
+def reference_evaluate(clauses, values):
+    """Per-clause loop over ``(literals, weight)`` pairs: (sat weight,
+    unsat weight, satisfied flags)."""
     flags = []
     sat = unsat = 0
-    for cl in instance.clauses:
-        ok = any((lit > 0) == bool(values[abs(lit) - 1]) for lit in cl.literals)
+    for lits, weight in clauses:
+        ok = any((lit > 0) == bool(values[abs(lit) - 1]) for lit in lits)
         flags.append(ok)
         if ok:
-            sat += cl.weight
+            sat += weight
         else:
-            unsat += cl.weight
+            unsat += weight
     return sat, unsat, flags
 
 
-def random_instance(rng, n):
+def random_clauses(rng, n):
     """1 to n distinct variables per clause; some clauses are tautologies."""
     clauses = []
     for _ in range(int(rng.integers(1, 4 * n))):
@@ -43,8 +46,22 @@ def random_instance(rng, n):
         if len(lits) > 1 and rng.random() < 0.3:
             lits[1] = -lits[0]
             lits = list(dict.fromkeys(lits))
-        clauses.append(Clause(tuple(lits), int(rng.integers(1, 1000))))
-    return WcnfInstance(n, tuple(clauses))
+        clauses.append((tuple(lits), int(rng.integers(1, 1000))))
+    return clauses
+
+
+def arrays(instance):
+    """Everything an instance holds, as lists that compare with ==."""
+    return (
+        instance.num_vars,
+        instance.var.tolist(),
+        instance.positive.tolist(),
+        instance.start.tolist(),
+        instance.weight.tolist(),
+        instance.tautology.tolist(),
+        instance.name,
+    )
+
 
 CNF_SIMPLE = """\
 c a comment
@@ -64,21 +81,25 @@ def test_parse_cnf_basic():
     inst = parse_cnf(CNF_SIMPLE, name="simple")
     assert inst.num_vars == 3
     assert inst.num_clauses == 2
-    assert inst.clauses[0].literals == (1, -2, 3)
-    assert all(cl.weight == 1 for cl in inst.clauses)
+    assert inst.var.tolist() == [0, 1, 2, 0, 1]
+    assert inst.positive.tolist() == [True, False, True, False, True]
+    assert inst.start.tolist() == [0, 3, 5]
+    assert inst.weight.tolist() == [1, 1]
     assert inst.name == "simple"
 
 
 def test_parse_wcnf_weights():
     inst = parse_wcnf(WCNF_SIMPLE)
-    assert [cl.weight for cl in inst.clauses] == [5, 2]
+    assert inst.weight.tolist() == [5, 2]
     assert inst.total_weight() == 7
 
 
 def test_parse_clause_spanning_lines():
     text = "p cnf 3 1\n1\n-2\n3 0\n"
     inst = parse_cnf(text)
-    assert inst.clauses[0].literals == (1, -2, 3)
+    assert inst.var.tolist() == [0, 1, 2]
+    assert inst.positive.tolist() == [True, False, True]
+    assert inst.start.tolist() == [0, 3]
 
 
 def test_parse_satlib_percent_marker():
@@ -134,7 +155,7 @@ def test_parse_rejects_variable_counts_over_the_cap():
             parse_wcnf(text)
         assert info.value.line == 1
     inst = parse_wcnf(f"p wcnf {MAX_VARS} 1\n3 -{MAX_VARS} 0\n")
-    assert inst.clause_table.var.tolist() == [MAX_VARS - 1]
+    assert inst.var.tolist() == [MAX_VARS - 1]
 
 
 def test_parse_rejects_duplicate_literal():
@@ -145,9 +166,7 @@ def test_parse_rejects_duplicate_literal():
 
 def test_occurrence_lists_mirror_the_clauses():
     # variable 4 occurs nowhere, so only n tells the walk it exists
-    inst = WcnfInstance(
-        4, (Clause((1, -2), 3), Clause((-1, 2, 3), 5), Clause((2, -2), 7))
-    )
+    inst = make_instance(4, [((1, -2), 3), ((-1, 2, 3), 5), ((2, -2), 7)])
     occ = inst.occurrence_lists
     # clause 2 is a tautology, which no flip can break or mend
     assert occ.occurs == [
@@ -156,31 +175,115 @@ def test_occurrence_lists_mirror_the_clauses():
         [(1, 1)],
         [],
     ]
-    assert inst.clause_table.tautology.tolist() == [False, False, True]
+    assert inst.tautology.tolist() == [False, False, True]
     assert occ.clause_vars == [[0, 1], [0, 1, 2], [1, 1]]
     assert occ.weight == [3, 5, 7]
 
 
 def test_clause_validation():
-    with pytest.raises(ValueError):
-        Clause((), 1)
-    with pytest.raises(ValueError):
-        Clause((1, 1), 1)
-    with pytest.raises(ValueError):
-        Clause((1, 2), 0)
-    with pytest.raises(ValueError):
-        Clause((1, 0, 2), 1)
+    for clause, error in (
+        (((), 1), "empty clause 1"),
+        (((1, 1), 1), "duplicate literal in clause 1"),
+        (((1, -1, 1), 1), "duplicate literal in clause 1"),
+        (((1, 2), 0), "weights must be >= 1"),
+        (((1, 0, 2), 1), "out of range"),
+    ):
+        with pytest.raises(ValueError, match=error):
+            make_instance(2, [((1,), 1), clause])
 
 
 def test_instance_validation():
-    with pytest.raises(ValueError):
-        WcnfInstance(2, (Clause((3,), 1),))
+    with pytest.raises(ValueError, match="out of range"):
+        make_instance(2, [((3,), 1)])
+    with pytest.raises(ValueError, match="at least one clause"):
+        make_instance(2, [])
+    with pytest.raises(ValueError, match="num_vars"):
+        make_instance(0, [((1,), 1)])
+    inst = make_instance(3, [((1, -2), 1), ((3,), 2)])
+    for bad in (
+        {"start": [0, 2, 4]},  # past the last literal
+        {"start": [1, 2, 3]},  # does not start at 0
+        {"start": [0, 3]},  # one clause, two weights
+        {"positive": [True]},
+        {"var": [[0, 1, 2]]},
+    ):
+        with pytest.raises(ValueError, match="do not fit"):
+            dataclasses.replace(inst, **bad)
+
+
+def test_instance_arrays_are_read_only():
+    inst = make_instance(3, [((1, -2), 1), ((3, -3), 2)])
+    occurs = inst.occurrence_lists.occurs
+    for name in ("var", "positive", "start", "weight", "tautology"):
+        array = getattr(inst, name)
+        assert not array.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[-1]
+    # a caller's array of the right dtype is kept, not copied
+    weight = np.array([4, 5])
+    assert dataclasses.replace(inst, weight=weight).weight is weight
+    assert not weight.flags.writeable
+    assert inst.occurrence_lists.occurs is occurs
 
 
 def test_roundtrip_write_parse():
     inst = parse_wcnf(WCNF_SIMPLE, name="x")
     again = parse_wcnf(write_wcnf(inst), name="x")
-    assert again == inst
+    assert arrays(again) == arrays(inst)
+
+
+def reference_rejects(num_vars, clauses):
+    """Index of the first clause a per-clause check rejects, -1 when there
+    is no clause, None when every clause is valid."""
+    if not clauses:
+        return -1
+    total = 0
+    for j, (lits, weight) in enumerate(clauses):
+        total += weight
+        if (
+            not lits
+            or len(set(lits)) != len(lits)
+            or any(lit == 0 or abs(lit) > num_vars for lit in lits)
+            or weight < 1
+            or total > MAX_TOTAL_WEIGHT
+        ):
+            return j
+    return None
+
+
+@given(
+    st.integers(1, 5),
+    st.lists(
+        st.tuples(
+            st.lists(st.integers(-6, 6), max_size=5).map(tuple),
+            st.integers(0, 9) | st.integers(2**52, 2**53),
+        ),
+        max_size=6,
+    ),
+)
+@settings(max_examples=500, deadline=None)
+def test_instance_rejects_exactly_what_a_per_clause_check_rejects(n, clauses):
+    bad = reference_rejects(n, clauses)
+    try:
+        inst = make_instance(n, clauses)
+    except ValueError:
+        assert bad is not None
+    else:
+        assert bad is None
+        assert inst.tautology.tolist() == [
+            any(-lit in lits for lit in lits) for lits, _ in clauses
+        ]
+    if any(0 in lits for lits, _ in clauses):
+        return  # in the text a 0 ends its clause
+    text = f"p wcnf {n} {len(clauses)}\n" + "".join(
+        f"{w} {' '.join(map(str, lits))} 0\n" for lits, w in clauses
+    )
+    try:
+        parsed = parse_wcnf(text)
+    except WcnfParseError as exc:
+        assert exc.line == bad + 2  # the header is line 1
+    else:
+        assert bad is None and arrays(parsed) == arrays(inst)
 
 
 FUZZ_TEXTS = (
@@ -246,7 +349,7 @@ def test_mutated_text_parses_and_round_trips_or_reports_a_line(text):
         except WcnfParseError as exc:
             assert exc.line is None or 1 <= exc.line <= len(text.splitlines())
         else:
-            assert parse_wcnf(write_wcnf(inst)) == inst
+            assert arrays(parse_wcnf(write_wcnf(inst))) == arrays(inst)
 
 
 def test_evaluate_counts_weights_exactly():
@@ -273,16 +376,17 @@ def test_evaluate_rejects_bad_assignment():
 @settings(max_examples=100, deadline=None)
 def test_batched_evaluate_matches_reference_loop(seed, n):
     rng = make_rng(seed, 0xE1)
-    inst = random_instance(rng, n)
+    clauses = random_clauses(rng, n)
+    inst = make_instance(n, clauses)
     # nonzero values other than 1 count as true, as in the reference
     batch = rng.integers(0, 3, size=(int(rng.integers(1, 6)), n))
     ev = evaluate(inst, batch)
     assert ev.sat_weight.shape == ev.unsat_weight.shape == (len(batch),)
-    assert inst.clause_table.tautology.tolist() == [
-        any(-lit in cl.literals for lit in cl.literals) for cl in inst.clauses
+    assert inst.tautology.tolist() == [
+        any(-lit in lits for lit in lits) for lits, _ in clauses
     ]
     for row, values in enumerate(batch):
-        sat, unsat, flags = reference_evaluate(inst, values)
+        sat, unsat, flags = reference_evaluate(clauses, values)
         assert ev.sat_weight[row] == sat and ev.unsat_weight[row] == unsat
         assert list(ev.clause_flags[row]) == flags
         one = evaluate(inst, values)
@@ -293,12 +397,15 @@ def test_batched_evaluate_matches_reference_loop(seed, n):
 
 def test_total_weight_must_stay_below_2_53():
     big = 2**53 - 1
-    assert WcnfInstance(1, (Clause((1,), big),)).total_weight() == big
+    assert make_instance(1, [((1,), big)]).total_weight() == big
     assert parse_wcnf(f"p wcnf 1 1\n{big} 1 0\n").total_weight() == big
     with pytest.raises(ValueError, match="2\\^53"):
-        WcnfInstance(2, (Clause((1,), big), Clause((2,), 1)))
+        make_instance(2, [((1,), big), ((2,), 1)])
     with pytest.raises(ValueError):
-        WcnfInstance(1, (Clause((1,), 2**53),))
+        make_instance(1, [((1,), 2**53)])
+    # 2^10 weights of 2^53 - 1 wrap an int64 sum around to below 2^53
+    with pytest.raises(ValueError, match="2\\^53"):
+        make_instance(1, [((1,), big)] * 1024 + [((1,), 2**10 + 1)])
     text = f"p wcnf 2 3\n5 1 0\nc\n{big - 4} -1 2 0\n1 2 0\n"
     with pytest.raises(WcnfParseError) as exc:
         parse_wcnf(text)
@@ -310,17 +417,16 @@ def test_total_weight_must_stay_below_2_53():
 def test_generator_shape_and_determinism(seed):
     a = generate_random_3sat(12, 30, seed=seed)
     b = generate_random_3sat(12, 30, seed=seed)
-    assert a == b
+    assert arrays(a) == arrays(b)
     assert a.num_vars == 12 and a.num_clauses == 30
-    for cl in a.clauses:
-        assert len(cl.literals) == 3
-        assert len({abs(l) for l in cl.literals}) == 3
+    assert a.arity.tolist() == [3] * 30
+    for clause_vars in a.var.reshape(-1, 3).tolist():
+        assert len(set(clause_vars)) == 3
 
 
 def test_generator_different_seeds_differ():
-    assert generate_random_3sat(20, 60, seed=0) != generate_random_3sat(
-        20, 60, seed=1
-    )
+    a = generate_random_3sat(20, 60, seed=0)
+    assert arrays(a) != arrays(generate_random_3sat(20, 60, seed=1))
 
 
 @given(st.integers(0, 10_000))
@@ -329,11 +435,11 @@ def test_weight_assignment_range_and_determinism(seed):
     inst = generate_random_3sat(10, 30, seed=seed)
     w1 = assign_random_weights(inst, seed=seed)
     w2 = assign_random_weights(inst, seed=seed)
-    assert w1 == w2
-    for cl in w1.clauses:
-        assert 1 <= cl.weight <= 10
-    lits = [cl.literals for cl in w1.clauses]
-    assert lits == [cl.literals for cl in inst.clauses]
+    assert arrays(w1) == arrays(w2)
+    assert 1 <= w1.weight.min() and w1.weight.max() <= 10
+    # the literal arrays are shared, not copied
+    assert w1.var is inst.var and w1.positive is inst.positive
+    assert w1.start is inst.start
 
 
 @given(
