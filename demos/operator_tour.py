@@ -17,7 +17,7 @@ def main():
     names = ["x1", "x2", "x3", "~x1", "~x2", "~x3"]
     print("nodes:", ", ".join(f"{i}={n}" for i, n in enumerate(names)))
     h = hg.h.toarray()  # one column per clause
-    for j, w in enumerate(hg.edge_weights):
+    for j, w in enumerate(inst.weight):
         members = ", ".join(names[v] for v in np.flatnonzero(h[:, j]))
         print(f"edge {j}: {{{members}}} weight={w}")
     print("weighted node degrees:", hg.node_degree)

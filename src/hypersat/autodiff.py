@@ -33,6 +33,8 @@ TILE_CELLS = 2**17
 # larger ones, and keeps the heap of the thread that draws the masks small.
 DRAW_CELLS = 2**14
 LAYER_NORM_EPS = 1e-5
+# inverted-dropout probability of the cross-attention weights
+ATTENTION_DROPOUT = 0.1
 
 
 class Tensor:
@@ -300,71 +302,61 @@ def _pair(pool, fn, first: tuple, second: tuple) -> tuple:
     return fn(*first), later.result()
 
 
-def dropout_masks(
-    key: int,
-    first_shape: tuple[int, int],
-    second_shape: tuple[int, int],
-    p: float,
-    pool=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The keep masks of both ``paired_attention`` directions, packed to
-    bits along rows (``np.packbits(mask, axis=1)``).
+def dropout_masks(key: int, n: int, pool=None) -> tuple[np.ndarray, np.ndarray]:
+    """The n x n keep masks of both ``paired_attention`` directions, packed
+    to bits along rows (``np.packbits(mask, axis=1)``).
 
     A cell is kept when its raw word of the Philox stream ``key`` names is
-    at least ``ceil(p * 2**53) << 11``: ``random()`` is
+    at least ``ceil(ATTENTION_DROPOUT * 2**53) << 11``: ``random()`` is
     ``(word >> 11) * 2**-53``, so this keeps what
-    ``Generator(Philox(key=key)).random(shape) >= p`` keeps, from the same
-    words, at half the cost.  The first mask takes the stream's first
-    words; the second opens the stream again past them (Philox makes words
-    in blocks of four, which ``advance`` skips), so it is the mask the
-    serial order would draw.  Words are drawn one row tile of about
-    ``DRAW_CELLS`` at a time, so the draw holds no n x n array but the
-    packed masks.  The second mask is drawn on ``pool`` when one is given;
-    the result depends on the key alone, whatever thread draws it."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0,1), got {p}")
-    threshold = np.uint64(math.ceil(p * 2.0**53) << 11)
+    ``Generator(Philox(key=key)).random((n, n)) >= ATTENTION_DROPOUT``
+    keeps, from the same words, at half the cost.  The first mask takes
+    the stream's first n * n words; the second opens the stream again past
+    them (Philox makes words in blocks of four, which ``advance`` skips),
+    so it is the mask the serial order would draw.  Words are drawn one
+    row tile of about ``DRAW_CELLS`` at a time, so the draw holds no n x n
+    array but the packed masks.  The second mask is drawn on ``pool`` when
+    one is given; the result depends on the key alone, whatever thread
+    draws it."""
+    threshold = np.uint64(math.ceil(ATTENTION_DROPOUT * 2.0**53) << 11)
 
-    def draw(rows, cols, skip):
+    def draw(skip):
         bitgen = np.random.Philox(key=key)
         bitgen.advance(skip // 4)
         bitgen.random_raw(skip % 4)
-        packed = np.empty((rows, -(-cols // 8)), dtype=np.uint8)
-        for tile in _row_tiles(rows, cols, DRAW_CELLS):
-            words = bitgen.random_raw((tile.stop - tile.start, cols))
+        packed = np.empty((n, -(-n // 8)), dtype=np.uint8)
+        for tile in _row_tiles(n, n, DRAW_CELLS):
+            words = bitgen.random_raw((tile.stop - tile.start, n))
             packed[tile] = np.packbits(words >= threshold, axis=1)
         return packed
 
-    cells = first_shape[0] * first_shape[1]
-    return _pair(pool, draw, (*first_shape, 0), (*second_shape, cells))
+    return _pair(pool, draw, (0,), (n * n,))
 
 
 def paired_attention(
     q_pos: Tensor, k_neg: Tensor, v_neg: Tensor,
     q_neg: Tensor, k_pos: Tensor, v_pos: Tensor,
-    scale: float, p: float, keep: tuple[np.ndarray, np.ndarray] | None,
-    pool=None,
+    keep: tuple[np.ndarray, np.ndarray] | None, pool=None,
 ) -> Tensor:
     """Both cross-attention directions, stacked by rows: each is
-    ``dropout(row_softmax(scale * q @ k.T)) @ v``, and the result is
-    bit-identical to that chain of ops for (q_pos, k_neg, v_neg), then for
-    (q_neg, k_pos, v_pos), then stacking the two, when one row tile of
-    ``TILE_CELLS`` covers a direction; with more tiles, each tile's GEMMs
-    are shorter and the k and v gradients sum over tiles, so results agree
-    to rounding.  The tape keeps only each direction's row max and row sum
-    besides ``keep``; backward recomputes the probabilities tile by tile.
+    ``dropout(row_softmax(q @ k.T / sqrt(d))) @ v``, with d the width of
+    ``q_pos``, and the result is bit-identical to that chain of ops for
+    (q_pos, k_neg, v_neg), then for (q_neg, k_pos, v_pos), then stacking
+    the two, when one row tile of ``TILE_CELLS`` covers a direction; with
+    more tiles, each tile's GEMMs are shorter and the k and v gradients
+    sum over tiles, so results agree to rounding.  The tape keeps only
+    each direction's row max and row sum besides ``keep``; backward
+    recomputes the probabilities tile by tile.
 
-    Inverted dropout: ``keep`` is the pair of packed masks that
-    ``dropout_masks`` draws for these shapes, and survivors are scaled by
-    1/(1-p); ``None`` (inference) drops nothing.  Each tile unpacks its
+    Inverted dropout at ``ATTENTION_DROPOUT``: ``keep`` is the pair of
+    packed masks that ``dropout_masks`` draws, and survivors are scaled by
+    1/(1 - ATTENTION_DROPOUT); ``None`` (inference) drops nothing.  Each tile unpacks its
     rows of the mask when it needs them.
 
     Given ``pool``, the second direction's forward and backward run on it
     while the first runs on the caller's thread; numpy releases the GIL for
     BLAS and ufuncs.
     """
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0,1), got {p}")
     first = (q_pos.value, k_neg.value, v_neg.value)
     second = (q_neg.value, k_pos.value, v_pos.value)
     keep = (None, None) if keep is None else keep
@@ -373,7 +365,8 @@ def paired_attention(
             raise ValueError(
                 f"keep mask {mask.shape} does not pack {len(q)} x {len(k)}"
             )
-    inv = 1.0 / (1.0 - p)
+    scale = 1.0 / math.sqrt(q_pos.value.shape[1])
+    inv = 1.0 / (1.0 - ATTENTION_DROPOUT)
     (out1, *saved1), (out2, *saved2) = _pair(
         pool,
         _attend,

@@ -188,6 +188,10 @@ def _bench_task(task) -> tuple[dict | None, str | None]:
 
 
 def cmd_bench(args) -> int:
+    if args.limit < 0:
+        print(f"error: --limit must be >= 0 (0 runs every file), got "
+              f"{args.limit}", file=sys.stderr)
+        return 1
     paths = sorted(glob.glob(str(Path(args.dataset_dir) / "*.wcnf")))
     paths += sorted(glob.glob(str(Path(args.dataset_dir) / "*.cnf")))
     if args.limit:

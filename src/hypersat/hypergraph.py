@@ -28,12 +28,9 @@ from .wcnf import WcnfInstance
 @dataclass(frozen=True)
 class LiteralHypergraph:
     num_nodes: int
-    num_edges: int
-    h: sp.csr_matrix  # binary incidence, num_nodes x num_edges, sorted
-    edge_weights: np.ndarray  # int, length num_edges
+    h: sp.csr_matrix  # binary incidence, num_nodes x clauses, sorted
     node_degree: np.ndarray  # float, weighted degree d(v)
     edge_degree: np.ndarray  # int, delta(e)
-    mode: str  # "literal" | "variable"
 
 
 @dataclass(frozen=True)
@@ -44,7 +41,7 @@ class NormalizedOperator:
 
 
 def _build(
-    instance: WcnfInstance, nodes: np.ndarray, num_nodes: int, mode: str
+    instance: WcnfInstance, nodes: np.ndarray, num_nodes: int
 ) -> LiteralHypergraph:
     """The hypergraph whose clause j holds the nodes of its literals."""
     # the CSR constructor sorts each row's clauses and merges the repeated
@@ -56,25 +53,20 @@ def _build(
     h.data[:] = 1.0
     return LiteralHypergraph(
         num_nodes=num_nodes,
-        num_edges=instance.num_clauses,
         h=h,
-        edge_weights=instance.weight,
         node_degree=h @ instance.weight.astype(np.float64),
         edge_degree=np.bincount(h.indices, minlength=instance.num_clauses),
-        mode=mode,
     )
 
 
 def build_literal_hypergraph(instance: WcnfInstance) -> LiteralHypergraph:
     n = instance.num_vars
-    return _build(
-        instance, instance.var + n * ~instance.positive, 2 * n, "literal"
-    )
+    return _build(instance, instance.var + n * ~instance.positive, 2 * n)
 
 
 def build_variable_hypergraph(instance: WcnfInstance) -> LiteralHypergraph:
     """Ablation variant: one node per variable, polarity discarded."""
-    return _build(instance, instance.var, instance.num_vars, "variable")
+    return _build(instance, instance.var, instance.num_vars)
 
 
 def q_tilde(hg: LiteralHypergraph) -> sp.csr_matrix:

@@ -16,10 +16,14 @@ Projections are applied on the right (Q = L @ W_Q etc.), keeping rows as
 tokens.  ReLU after conv layer 1, identity on the logit layer.
 
 A training forward pass takes the attention's dropout masks as an argument
-instead of drawing them: ``dropout_masks`` makes them from a Philox key,
-packed to bits, and ``paired_attention`` takes them as ``keep``.  Both take
-an optional ``pool`` for the attention's second direction, which the
-forward pass hands down.
+instead of drawing them: ``autodiff.dropout_masks`` makes them from a
+Philox key, packed to bits, and ``paired_attention`` takes them as
+``keep``.  Both take an optional ``pool`` for the attention's second
+direction, which the forward pass hands down.
+
+Widths come from n: the input width is round(sqrt(n)) and the hidden
+width half that, each at least 2, since a 1-wide LayerNorm row normalizes
+to zero and passes no gradient back.
 """
 
 from __future__ import annotations
@@ -34,13 +38,13 @@ from .autodiff import Tensor
 from .hypergraph import NormalizedOperator
 from .rng import make_rng
 
-# inverted-dropout probability of the cross-attention weights
-ATTENTION_DROPOUT = 0.1
 
-
-def check_mode(mode: str) -> None:
+def check_mode(mode: str, use_transformer: bool) -> None:
     if mode not in ("literal", "variable"):
         raise ValueError(f"mode must be 'literal' or 'variable', got {mode!r}")
+    if mode == "variable" and use_transformer:
+        raise ValueError("mode 'variable' has no literal banks to attend "
+                         "across: set use_transformer=False")
 
 
 def round_half_up(x: float) -> int:
@@ -53,28 +57,17 @@ class ModelConfig:
     mode: str = "literal"  # "literal" | "variable"
     use_transformer: bool = True
     seed: int = 0
-    # width overrides, None -> derived from num_vars
-    d0: int | None = None
-    d1: int | None = None
 
     def __post_init__(self):
-        check_mode(self.mode)
-
-    @property
-    def has_attention(self) -> bool:
-        return self.mode == "literal" and self.use_transformer
+        check_mode(self.mode, self.use_transformer)
 
     @property
     def input_dim(self) -> int:
-        return self.d0 if self.d0 is not None else max(
-            1, round_half_up(math.sqrt(self.num_vars))
-        )
+        return max(2, round_half_up(math.sqrt(self.num_vars)))
 
     @property
     def hidden_dim(self) -> int:
-        return self.d1 if self.d1 is not None else max(
-            1, round_half_up(math.sqrt(self.num_vars) / 2.0)
-        )
+        return max(2, round_half_up(math.sqrt(self.num_vars) / 2.0))
 
     @property
     def num_nodes(self) -> int:
@@ -87,7 +80,6 @@ class ForwardTensors:
 
     leaves: dict[str, Tensor]
     y: Tensor  # (n, 1) probabilities
-    logits: Tensor
     penult_pos: Tensor | None = None
     penult_neg: Tensor | None = None
 
@@ -99,7 +91,7 @@ def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
         "conv1": (d0, d1),
         "conv2": (d1, 1),
     }
-    if config.has_attention:
+    if config.use_transformer:
         for bank in ("pos", "neg"):
             for proj in ("q", "k", "v"):
                 shapes[f"attn_{proj}_{bank}"] = (d1, d1)
@@ -162,10 +154,9 @@ def cross_attention(
     as (2n, d) by one ``autodiff.paired_attention`` op, which works in row
     tiles and leaves only a row max and a row sum per direction on the
     tape.  In training, ``keep`` holds the two directions' packed dropout
-    masks (``autodiff.dropout_masks`` with ``ATTENTION_DROPOUT``, the
-    positive-to-negative direction's mask first); ``None`` drops nothing.
-    Given ``pool``, the negative-to-positive direction runs on it."""
-    d = lp.value.shape[1]
+    masks (``autodiff.dropout_masks``, the positive-to-negative direction's
+    mask first); ``None`` drops nothing.  Given ``pool``, the
+    negative-to-positive direction runs on it."""
     return ad.paired_attention(
         ad.matmul(lp, leaves["attn_q_pos"]),
         ad.matmul(ln, leaves["attn_k_neg"]),
@@ -173,8 +164,6 @@ def cross_attention(
         ad.matmul(ln, leaves["attn_q_neg"]),
         ad.matmul(lp, leaves["attn_k_pos"]),
         ad.matmul(lp, leaves["attn_v_pos"]),
-        1.0 / math.sqrt(d),
-        ATTENTION_DROPOUT,
         keep,
         pool=pool,
     )
@@ -199,15 +188,6 @@ def transformer_block(
     )
 
 
-def dropout_masks(
-    config: ModelConfig, key: int, pool=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The attention's packed keep masks for one training forward pass,
-    drawn from the Philox stream ``key`` names."""
-    n = config.num_vars
-    return ad.dropout_masks(key, (n, n), (n, n), ATTENTION_DROPOUT, pool=pool)
-
-
 def _first_column(a: Tensor) -> Tensor:
     def back(g):
         full = np.zeros_like(a.value)
@@ -227,27 +207,24 @@ def build_forward(
 ) -> ForwardTensors:
     """Run the network on the tape; returns live tensors for loss wiring.
     Training a model with attention needs ``dropout``, the attention's two
-    packed keep masks (``dropout_masks``); at inference nothing is
+    packed keep masks (``autodiff.dropout_masks``); at inference nothing is
     dropped.  ``pool`` goes to the attention."""
     if s.matrix.shape[0] != config.num_nodes:
         raise ValueError(
             f"operator has {s.matrix.shape[0]} nodes, config expects "
             f"{config.num_nodes} ({config.mode} mode)"
         )
-    if training and config.has_attention and dropout is None:
+    if training and config.use_transformer and dropout is None:
         raise ValueError("training with attention needs its dropout masks")
     leaves = {name: Tensor(arr) for name, arr in params.items()}
     n = config.num_vars
     h1 = conv_layer(s, leaves["embed"], leaves["conv1"], "relu")
-    if config.mode == "literal":
-        if config.use_transformer:
-            keep = dropout if training else None
-            h1 = transformer_block(h1, leaves, config, keep, pool=pool)
-        penult_pos, penult_neg = ad.split_rows(h1, n)
-        logits = conv_layer(s, h1, leaves["conv2"], "identity")
-        pairs = ad.reshape_pairs(logits, n)
-        y = _first_column(ad.row_softmax(pairs))
-        return ForwardTensors(leaves, y, logits, penult_pos, penult_neg)
+    if config.use_transformer:
+        keep = dropout if training else None
+        h1 = transformer_block(h1, leaves, config, keep, pool=pool)
     logits = conv_layer(s, h1, leaves["conv2"], "identity")
-    y = ad.sigmoid(logits)
-    return ForwardTensors(leaves, y, logits)
+    if config.mode == "variable":
+        return ForwardTensors(leaves, ad.sigmoid(logits))
+    penult_pos, penult_neg = ad.split_rows(h1, n)
+    y = _first_column(ad.row_softmax(ad.reshape_pairs(logits, n)))
+    return ForwardTensors(leaves, y, penult_pos, penult_neg)

@@ -25,6 +25,7 @@ depend on thread timing or on which thread ran what.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -38,13 +39,7 @@ from .hypergraph import (
     build_variable_hypergraph,
     normalized_operator,
 )
-from .model import (
-    ModelConfig,
-    build_forward,
-    check_mode,
-    dropout_masks,
-    init_params,
-)
+from .model import ModelConfig, build_forward, check_mode, init_params
 from .objective import LossBreakdown
 from .rng import derive_key, make_rng
 from .wcnf import WcnfInstance, evaluate
@@ -82,7 +77,7 @@ class SolveConfig:
             raise ValueError("num_samples must be >= 1")
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
-        check_mode(self.mode)
+        check_mode(self.mode, self.use_transformer)
 
 
 @dataclass(frozen=True)
@@ -162,12 +157,12 @@ def _epoch_losses(ft, compiled, lam) -> tuple[ad.Tensor, LossBreakdown]:
 
 
 def train(instance: WcnfInstance, config: SolveConfig) -> tuple[
-    dict[str, np.ndarray], np.ndarray, list[LossBreakdown], int, LossBreakdown
+    np.ndarray, list[LossBreakdown], int, LossBreakdown
 ]:
     """Optimize a fresh model on one instance.
 
-    Returns (best parameters by name, final probabilities, per-epoch loss
-    trace, epochs run, dropout-off loss of the best parameters)."""
+    Returns (final probabilities, per-epoch loss trace, epochs run,
+    dropout-off loss of the best parameters)."""
     builder = (
         build_literal_hypergraph
         if config.mode == "literal"
@@ -186,14 +181,20 @@ def train(instance: WcnfInstance, config: SolveConfig) -> tuple[
 
     def draw(epoch, pool):
         key = derive_key(config.seed, 0xD0, epoch)
-        return dropout_masks(mconfig, key, pool=pool)
+        return ad.dropout_masks(key, mconfig.num_vars, pool=pool)
 
     # The threading rule of the module docstring.  Leaving the block waits
-    # for a draw still running and drops it.
-    with ThreadPoolExecutor(1) as worker:
+    # for a draw still running and drops it.  A diverging run overflows on
+    # its way to the non-finite loss that raises FloatingPointError below,
+    # and numpy's warnings would only repeat that error.  Its error state
+    # belongs to one thread, so the worker sets its own.
+    quiet = {"over": "ignore", "invalid": "ignore"}
+    with np.errstate(**quiet), ThreadPoolExecutor(
+        1, initializer=functools.partial(np.seterr, **quiet)
+    ) as worker:
         pool = worker if mconfig.num_vars**2 >= THREAD_CELLS else None
         ahead = None
-        if mconfig.has_attention and pool is None:
+        if config.use_transformer and pool is None:
             # the worker draws with no pool: a task that submitted to its
             # own single worker would wait for itself
             ahead = worker.submit(draw, 1, None)
@@ -203,7 +204,7 @@ def train(instance: WcnfInstance, config: SolveConfig) -> tuple[
                 masks = ahead.result()
                 if epoch < config.max_epochs:
                     ahead = worker.submit(draw, epoch + 1, None)
-            elif mconfig.has_attention:
+            elif config.use_transformer:
                 masks = draw(epoch, pool)
             ft = build_forward(
                 s, params, mconfig, training=True, dropout=masks, pool=pool
@@ -235,22 +236,14 @@ def train(instance: WcnfInstance, config: SolveConfig) -> tuple[
         final = build_forward(s, params, mconfig, training=False, pool=pool)
     _, final_breakdown = _epoch_losses(final, compiled, config.lam)
     y_final = final.y.value.reshape(-1).copy()
-    return params, y_final, trace, epochs_run, final_breakdown
+    return y_final, trace, epochs_run, final_breakdown
 
 
 def gradient_errors(instance: WcnfInstance, seed: int) -> dict[str, float]:
     """Worst relative error between backprop and central differences of the
     training loss, per parameter of the literal-mode model (dropout off)."""
     s = normalized_operator(build_literal_hypergraph(instance))
-    # width floor of 2: a 1-wide hidden layer makes LayerNorm degenerate
-    # and the check vacuous
-    base = ModelConfig(num_vars=instance.num_vars)
-    mconfig = ModelConfig(
-        num_vars=instance.num_vars,
-        seed=seed,
-        d0=max(2, base.input_dim),
-        d1=max(2, base.hidden_dim),
-    )
+    mconfig = ModelConfig(num_vars=instance.num_vars, seed=seed)
     flat, params = init_params(mconfig)
     # nudge every parameter off its initial value: zero-init biases park
     # piecewise-linear units exactly on their kinks, where two-sided
@@ -299,7 +292,7 @@ def sample_assignments(
 
 def solve(instance: WcnfInstance, config: SolveConfig) -> SolveResult:
     """Train, round, and report; deterministic for a fixed config."""
-    params, y, trace, epochs, final_loss = train(instance, config)
+    y, trace, epochs, final_loss = train(instance, config)
     assignment, unsat = sample_assignments(
         y, instance, k=config.num_samples, seed=config.seed
     )

@@ -3,6 +3,7 @@ structural properties of the graph walk."""
 
 import functools
 import itertools
+import math
 import sys
 import threading
 import tracemalloc
@@ -81,11 +82,9 @@ def test_transpose_concat_split_grad(seed):
     # directions are inside the paired attention op
     def build(l):
         a, b = l["a"], l["b"]
-        top, bot = ad.split_rows(
-            ad.paired_attention(a, b, b, b, a, a, 0.8, 0.0, None), 2
-        )
+        top, bot = ad.split_rows(ad.paired_attention(a, b, b, b, a, a, None), 2)
         return ad.frobenius_sq(
-            ad.paired_attention(top, bot, bot, bot, top, top, 0.8, 0.0, None)
+            ad.paired_attention(top, bot, bot, bot, top, top, None)
         )
 
     check_unary(build, {"a": (2, 3), "b": (3, 3)}, seed)
@@ -203,16 +202,24 @@ NAMES = ("q_pos", "k_neg", "v_neg", "q_neg", "k_pos", "v_pos")
 
 
 @contextmanager
-def cutoffs(tile_cells=None):
-    """Set paired_attention's row tiles and those of the mask draw for a
-    block."""
-    saved = ad.TILE_CELLS, ad.DRAW_CELLS
-    if tile_cells is not None:
-        ad.TILE_CELLS = ad.DRAW_CELLS = tile_cells
+def constants(**values):
+    """Set module constants of autodiff for a block."""
+    saved = {name: getattr(ad, name) for name in values}
+    for name, value in values.items():
+        setattr(ad, name, value)
     try:
         yield
     finally:
-        ad.TILE_CELLS, ad.DRAW_CELLS = saved
+        for name, value in saved.items():
+            setattr(ad, name, value)
+
+
+def cutoffs(tile_cells=None):
+    """Set paired_attention's row tiles and those of the mask draw for a
+    block."""
+    if tile_cells is None:
+        return constants()
+    return constants(TILE_CELLS=tile_cells, DRAW_CELLS=tile_cells)
 
 
 @pytest.fixture
@@ -223,22 +230,21 @@ def worker():
         yield pool
 
 
-def attention_inputs(seed, nq=5, nk=7, d=3, dv=4):
-    """Arrays shaped as the model shapes them: nq positive and nk negative
+def attention_inputs(seed, n=5, d=3, dv=4):
+    """Arrays shaped as the model shapes them: n positive and n negative
     rows, each bank querying the other's keys and values."""
     rng = make_rng(seed, 0xB1)
-    rows = dict(q_pos=nq, k_neg=nk, v_neg=nk, q_neg=nk, k_pos=nq, v_pos=nq)
-    arrays = {
-        name: rand(rng, r, dv if name[0] == "v" else d)
-        for name, r in rows.items()
-    }
-    return arrays, rand(rng, nq + nk, dv)
+    arrays = {name: rand(rng, n, dv if name[0] == "v" else d) for name in NAMES}
+    return arrays, rand(rng, 2 * n, dv)
 
 
-def reference_direction(q, k, v, scale, p, training, rng):
-    """The unfused chain: matmul, transpose, scale, row_softmax, then
-    inverted dropout with a float mask drawn by ``rng.random``, then matmul."""
+def reference_direction(q, k, v, training, rng):
+    """The unfused chain: matmul, transpose, scale by 1/sqrt(d),
+    row_softmax, then inverted dropout with a float mask drawn by
+    ``rng.random``, then matmul."""
+    p = ad.ATTENTION_DROPOUT
     kt = Tensor(k.value.T, (k,), lambda g: k._accumulate(g.T))
+    scale = 1.0 / math.sqrt(q.value.shape[1])
     probs = ad.row_softmax(ad.scale(ad.matmul(q, kt), scale))
     if training and p > 0.0:
         mask = (rng.random(probs.shape) >= p) / (1.0 - p)
@@ -252,10 +258,10 @@ def reference_direction(q, k, v, scale, p, training, rng):
 def reference_attention(q_pos, k_neg, v_neg, q_neg, k_pos, v_pos, *rest):
     """Both directions of the unfused chain, one after the other, stacked
     by a row concatenation; both draw from one generator made from the key."""
-    scale, p, training, key = rest
+    training, key = rest
     rng = None if key is None else np.random.Generator(np.random.Philox(key=key))
-    a = reference_direction(q_pos, k_neg, v_neg, scale, p, training, rng)
-    b = reference_direction(q_neg, k_pos, v_pos, scale, p, training, rng)
+    a = reference_direction(q_pos, k_neg, v_neg, training, rng)
+    b = reference_direction(q_neg, k_pos, v_pos, training, rng)
     split = a.value.shape[0]
 
     def back(g):
@@ -270,21 +276,18 @@ def fused_attention(
 ):
     """paired_attention with the masks dropout_masks draws from the key, so
     it takes the reference's arguments; ``pool`` goes to both."""
-    scale, p, training, key = rest
+    training, key = rest
     keep = None
     if training:
-        keep = ad.dropout_masks(
-            key, (len(q_pos.value), len(k_neg.value)),
-            (len(q_neg.value), len(k_pos.value)), p, pool=pool,
-        )
+        keep = ad.dropout_masks(key, len(q_pos.value), pool=pool)
     return ad.paired_attention(
-        q_pos, k_neg, v_neg, q_neg, k_pos, v_pos, scale, p, keep, pool=pool
+        q_pos, k_neg, v_neg, q_neg, k_pos, v_pos, keep, pool=pool
     )
 
 
-def run_attention(op, arrays, weight, p, training, key):
+def run_attention(op, arrays, weight, training, key):
     leaves = {name: Tensor(a) for name, a in arrays.items()}
-    out = op(*(leaves[name] for name in NAMES), 0.6, p, training, key)
+    out = op(*(leaves[name] for name in NAMES), training, key)
     ad.backward(weighted_sum(out, weight))
     return out.value, {name: t.grad for name, t in leaves.items()}
 
@@ -292,20 +295,20 @@ def run_attention(op, arrays, weight, p, training, key):
 @pytest.mark.parametrize("training", [True, False])
 @pytest.mark.parametrize("p", [0.0, 0.1, 0.5])
 def test_attention_matches_unfused_chain_bit_for_bit(p, training, worker):
-    # first-direction score cells 1200, 1353, 42, 35: 0, 1, 2, 3 mod 4, so
-    # the second direction's words start at every offset in a Philox block;
-    # 41 and 7 key columns leave a part-filled byte in each packed mask row
-    shapes = [(30, 40), (33, 41), (6, 7), (5, 7)]
-    for (nq, nk), pool, tile in itertools.product(
-        shapes, (None, worker), (None, 64)
+    # n * n score cells per direction are 0 or 1 mod 4, the two offsets in
+    # a Philox block at which the second direction's words can start; 41
+    # and 7 columns leave a part-filled byte in each packed mask row
+    for n, pool, tile in itertools.product(
+        (40, 41, 7, 6), (None, worker), (None, 64)
     ):
-        arrays, weight = attention_inputs(nq, nq, nk)
-        key = derive_key(nk, 0xD0)
+        arrays, weight = attention_inputs(n, n)
+        key = derive_key(n, 0xD0)
         fused_op = functools.partial(fused_attention, pool=pool)
-        with cutoffs(tile):
-            fused = run_attention(fused_op, arrays, weight, p, training, key)
-        ref = run_attention(reference_attention, arrays, weight, p, training, key)
-        case = (nq, nk, pool is not None, tile)
+        with constants(ATTENTION_DROPOUT=p):
+            with cutoffs(tile):
+                fused = run_attention(fused_op, arrays, weight, training, key)
+            ref = run_attention(reference_attention, arrays, weight, training, key)
+        case = (n, pool is not None, tile)
         # one tile gives the chain's GEMM shapes and so its bits; several
         # tiles sum the GEMMs' k and v gradients, and the output and q
         # gradient come from shorter GEMMs, so they agree to rounding
@@ -322,18 +325,16 @@ def test_paired_attention_from_concurrent_callers(worker):
     # more calling threads than cores, under frequent thread switches, each
     # with a pool of its own, then all four sharing one; every call must
     # still give the chain's bits
-    arrays, weight = attention_inputs(4, nq=30, nk=40)
+    arrays, weight = attention_inputs(4, n=40)
     key = derive_key(4, 0xD0)
-    expected = run_attention(reference_attention, arrays, weight, 0.5, True, key)
+    expected = run_attention(reference_attention, arrays, weight, True, key)
     results = []
 
     def call(shared):
         with ThreadPoolExecutor(1) as own:
             op = functools.partial(fused_attention, pool=shared or own)
             for _ in range(5):
-                results.append(
-                    run_attention(op, arrays, weight, 0.5, True, key)
-                )
+                results.append(run_attention(op, arrays, weight, True, key))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -371,10 +372,10 @@ def test_attention_starts_no_thread_of_its_own(monkeypatch, worker):
         start(thread)
 
     monkeypatch.setattr(threading.Thread, "start", counted_start)
-    arrays, weight = attention_inputs(5, nq=30, nk=40)
+    arrays, weight = attention_inputs(5, n=40)
     for pool, threads in ((None, 0), (worker, 1), (None, 1)):
         op = functools.partial(fused_attention, pool=pool)
-        run_attention(op, arrays, weight, 0.5, True, derive_key(5, 0xD0))
+        run_attention(op, arrays, weight, True, derive_key(5, 0xD0))
         assert len(started) == threads
 
 
@@ -383,16 +384,14 @@ def test_attention_holds_no_score_sized_float_array(threaded, worker):
     # the mask draw, forward and backward at 1200 x 1200 score cells per
     # direction work a row tile at a time: the peak of all they allocate
     # stays below one float64 array of the scores
-    arrays, weight = attention_inputs(6, nq=1200, nk=1200)
+    arrays, weight = attention_inputs(6, n=1200)
     leaves = {name: Tensor(a) for name, a in arrays.items()}
     pool = worker if threaded else None
     tracemalloc.start()
     try:
-        keep = ad.dropout_masks(
-            derive_key(6, 0xD0), (1200, 1200), (1200, 1200), 0.5, pool=pool
-        )
+        keep = ad.dropout_masks(derive_key(6, 0xD0), 1200, pool=pool)
         out = ad.paired_attention(
-            *(leaves[name] for name in NAMES), 0.6, 0.5, keep, pool=pool
+            *(leaves[name] for name in NAMES), keep, pool=pool
         )
         ad.backward(weighted_sum(out, weight))
         peak = tracemalloc.get_traced_memory()[1]
@@ -409,66 +408,57 @@ def test_attention_holds_no_score_sized_float_array(threaded, worker):
 @settings(max_examples=15, deadline=None)
 def test_attention_grad(seed, p):
     # the same masks in every call
-    shapes = {
-        name: (3 if name.endswith("pos") else 4, 3 if name[0] == "v" else 2)
-        for name in NAMES
-    }
-    keep = ad.dropout_masks(derive_key(99, 0xB2), (3, 4), (4, 3), p)
-    check_unary(
-        lambda l: ad.frobenius_sq(
-            ad.paired_attention(*(l[name] for name in NAMES), 0.7, p, keep)
-        ),
-        shapes,
-        seed,
-    )
+    shapes = {name: (4, 3 if name[0] == "v" else 2) for name in NAMES}
+    with constants(ATTENTION_DROPOUT=p):
+        keep = ad.dropout_masks(derive_key(99, 0xB2), 4)
+        check_unary(
+            lambda l: ad.frobenius_sq(
+                ad.paired_attention(*(l[name] for name in NAMES), keep)
+            ),
+            shapes,
+            seed,
+        )
 
 
-def uniform_attention(p, keep, rows=200, cols=200, pool=None):
-    # zero scores give probabilities 1/cols, and v = I shows the dropped
-    # probabilities themselves as the output; both directions are rows x
-    # cols, so the output is the (2 rows, cols) mask in drawing order
-    q, k = Tensor(np.zeros((rows, 1))), Tensor(np.zeros((cols, 1)))
-    v_neg, v_pos = Tensor(np.eye(cols)), Tensor(np.eye(cols))
-    out = ad.paired_attention(q, k, v_neg, q, k, v_pos, 1.0, p, keep, pool)
+def uniform_attention(keep, n=200, pool=None):
+    # zero scores give probabilities 1/n, and v = I shows the dropped
+    # probabilities themselves as the output: the (2n, n) masks in drawing
+    # order
+    q, k = Tensor(np.zeros((n, 1))), Tensor(np.zeros((n, 1)))
+    v_neg, v_pos = Tensor(np.eye(n)), Tensor(np.eye(n))
+    out = ad.paired_attention(q, k, v_neg, q, k, v_pos, keep, pool)
     return out, (v_neg, v_pos)
 
 
 @given(
     SEEDS,
-    st.lists(st.integers(1, 12), min_size=3, max_size=3),
+    st.integers(1, 12),
     st.one_of(
         st.floats(0.0, 1.0, exclude_max=True),
         st.sampled_from([0.0, 2.0**-60, 2.0**-53, 0.5, 1.0 - 2.0**-53]),
     ),
 )
 @settings(max_examples=60, deadline=None)
-def test_dropout_mask_equals_random_threshold(seed, sizes, p):
-    # the directions are rows x cols and cols x rows, or both rows x cols
-    # for the op check; column counts 1-12 leave part-filled bytes, and
-    # the first mask's words end at every offset in a Philox block
-    rows, cols, other = sizes
+def test_dropout_mask_equals_random_threshold(seed, n, p):
+    # 1-12 columns leave part-filled bytes, and n * n words end at both
+    # offsets in a Philox block that the second mask can start from
     key = derive_key(seed, 0xB3)
 
-    def check(p, pools):
+    def check(pools):
+        both = make_rng(seed, 0xB3).random((2 * n, n)) >= ad.ATTENTION_DROPOUT
         # the second mask drawn after the first or on a pool's thread past
         # it; 8 cells split every mask over 8 cells
         for pool, tile in itertools.product(pools, (None, 8)):
             with cutoffs(tile):
-                masks = ad.dropout_masks(
-                    key, (rows, cols), (other, rows), p, pool=pool
-                )
-            rng = make_rng(seed, 0xB3)
-            first = rng.random((rows, cols)) >= p
-            second = rng.random((other, rows)) >= p
-            assert np.array_equal(masks[0], np.packbits(first, axis=1))
-            assert np.array_equal(masks[1], np.packbits(second, axis=1))
+                masks = ad.dropout_masks(key, n, pool=pool)
+            assert np.array_equal(masks[0], np.packbits(both[:n], axis=1))
+            assert np.array_equal(masks[1], np.packbits(both[n:], axis=1))
         # the op drops exactly the masked cells, with and without a pool,
         # in one tile and in many
-        both = make_rng(seed, 0xB3).random((2 * rows, cols)) >= p
-        masks = ad.dropout_masks(key, (rows, cols), (rows, cols), p)
+        masks = ad.dropout_masks(key, n)
         for pool, tile in itertools.product(pools, (None, 8)):
             with cutoffs(tile):
-                out = uniform_attention(p, masks, rows, cols, pool)[0]
+                out = uniform_attention(masks, n, pool)[0]
             assert np.array_equal(out.value != 0, both)
 
     # p, then a drawn value r as the threshold: r itself is kept and the
@@ -476,28 +466,26 @@ def test_dropout_mask_equals_random_threshold(seed, sizes, p):
     r = make_rng(seed, 0xB3).random()
     with ThreadPoolExecutor(1) as worker:
         for threshold in (p, r, float(np.nextafter(r, 1.0))):
-            check(threshold, (None, worker))
+            with constants(ATTENTION_DROPOUT=threshold):
+                check((None, worker))
 
 
 def test_dropout_inference_is_identity():
-    arrays, _ = attention_inputs(1)
+    arrays, _ = attention_inputs(1, n=7)
     leaves = [Tensor(arrays[name]) for name in NAMES]
-    out = ad.paired_attention(*leaves, 0.6, 0.5, None)
+    out = ad.paired_attention(*leaves, None)
     # at p = 0 every word clears the threshold, so nothing is dropped
-    keep_all = ad.dropout_masks(derive_key(1, 0xB0), (5, 7), (7, 5), 0.0)
-    for mask, cols in zip(keep_all, (7, 5)):
-        assert np.unpackbits(mask, axis=1, count=cols).all()
-    undropped = ad.paired_attention(*leaves, 0.6, 0.0, keep_all)
+    with constants(ATTENTION_DROPOUT=0.0):
+        keep_all = ad.dropout_masks(derive_key(1, 0xB0), 7)
+        undropped = ad.paired_attention(*leaves, keep_all)
+    for mask in keep_all:
+        assert np.unpackbits(mask, axis=1, count=7).all()
     assert np.array_equal(out.value, undropped.value)
 
 
-def uniform_masks(p, key, rows=200, cols=200):
-    return ad.dropout_masks(key, (rows, cols), (rows, cols), p)
-
-
 def test_dropout_training_mask_and_scaling():
-    p = 0.3
-    out, _ = uniform_attention(p, uniform_masks(p, derive_key(2, 0xB0)))
+    p = ad.ATTENTION_DROPOUT
+    out, _ = uniform_attention(ad.dropout_masks(derive_key(2, 0xB0), 200))
     vals = np.unique(out.value)
     assert set(np.round(vals, 12)) <= {0.0, round(1.0 / 200 / (1.0 - p), 12)}
     # dropped fraction near p, row sums preserved in expectation
@@ -506,9 +494,9 @@ def test_dropout_training_mask_and_scaling():
 
 
 def test_dropout_gradient_uses_same_mask(worker):
-    keep = uniform_masks(0.4, derive_key(3, 0xB0))
+    keep = ad.dropout_masks(derive_key(3, 0xB0), 200)
     for pool in (None, worker):
-        out, (v_neg, v_pos) = uniform_attention(0.4, keep, pool=pool)
+        out, (v_neg, v_pos) = uniform_attention(keep, pool=pool)
         g = np.ones_like(out.value)
         ad.backward(weighted_sum(out, g))
         # dv = dropped.T @ g per direction, and out is the dropped
@@ -517,18 +505,14 @@ def test_dropout_gradient_uses_same_mask(worker):
         assert np.array_equal(v_pos.grad, out.value[200:].T @ g[200:])
 
 
-def test_dropout_rejects_bad_probability_and_mask_shape():
+def test_paired_attention_rejects_bad_mask_shape():
     q = Tensor(np.ones((2, 2)))
-    for p in (1.0, -0.1):
-        with pytest.raises(ValueError, match="probability"):
-            ad.paired_attention(*[q] * 6, 1.0, p, None)
-        with pytest.raises(ValueError, match="probability"):
-            ad.dropout_masks(0, (2, 2), (2, 2), p)
     # masks packed for 3 rows, or for 9 columns, do not fit 2 x 2 cells
-    for shape in ((3, 2), (2, 9)):
-        keep = ad.dropout_masks(0, shape, (2, 2), 0.5)
-        with pytest.raises(ValueError, match="keep mask"):
-            ad.paired_attention(*[q] * 6, 1.0, 0.5, keep)
+    first = ad.dropout_masks(0, 2)[0]
+    for bad in (ad.dropout_masks(0, 3)[0], np.zeros((2, 2), np.uint8)):
+        for keep in ((bad, first), (first, bad)):
+            with pytest.raises(ValueError, match="keep mask"):
+                ad.paired_attention(*[q] * 6, keep)
 
 
 def test_finite_diff_check_flags_wrong_gradient():

@@ -3,11 +3,15 @@ and the gradient report."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from hypersat import cli
+import hypersat
+from hypersat import cli, solver
 from hypersat.cli import CSV_HEADER, build_parser, main
 from hypersat.wcnf import parse_wcnf
 
@@ -133,6 +137,33 @@ def test_solve_goes_on_past_a_diverging_instance(tmp_path, capsys, flag, value):
     for path, line in zip(sorted(data.glob("*.wcnf")), errors):
         assert line.startswith(f"error: {path}: non-finite loss at epoch ")
     assert errors[2:] == ["no instances solved"]
+
+
+@pytest.mark.parametrize("lr", ["1e300", "1e100"])
+@pytest.mark.parametrize("n", [20, 600], ids=["inline", "threaded"])
+def test_diverging_solve_prints_only_its_error(tmp_path, capsys, n, lr):
+    # a diverging run overflows on its way to a non-finite loss, and only
+    # the error may reach stderr.  From THREAD_CELLS score cells the
+    # attention's second direction runs on the solve's worker thread, which
+    # keeps a numpy error state of its own; at lr 1e100 it overflows there
+    assert (n * n >= solver.THREAD_CELLS) == (n == 600)
+    data = gen_dataset(tmp_path, n=n, m=round(4.26 * n), count=1)
+    env = dict(os.environ)
+    src = str(Path(hypersat.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "hypersat.cli", "solve", str(data / "*.wcnf"),
+         "--lr", lr, "--epochs", "5"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    (path,) = data.glob("*.wcnf")
+    error, last = done.stderr.splitlines()
+    assert error.startswith(f"error: {path}: non-finite loss at epoch ")
+    assert last == "no instances solved"
 
 
 def test_solve_fails_when_one_instance_fails(tmp_path, capsys):
@@ -350,6 +381,22 @@ def test_bench_keeps_rows_when_a_task_fails(tmp_path, capsys, workers):
     assert all("exceeds exhaustive cap" in f for f in failures)
     assert "hypersat-plain: mean_unsat=" in stdout
     assert "exhaustive:" not in stdout
+
+
+def test_bench_rejects_a_negative_limit(tmp_path, capsys):
+    # a negative limit once sliced files off the end of the list
+    data = gen_dataset(tmp_path, count=2)
+    capsys.readouterr()
+    out = tmp_path / "b.csv"
+    code, stdout, err = run(
+        ["bench", "--dataset-dir", str(data), "--methods", "local-search",
+         "--limit", "-1", "--workers", "1", "--out", str(out)],
+        capsys,
+    )
+    assert code == 1
+    assert stdout == ""
+    assert err == "error: --limit must be >= 0 (0 runs every file), got -1\n"
+    assert not out.exists()
 
 
 def test_bench_empty_dir_fails(tmp_path, capsys):

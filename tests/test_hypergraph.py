@@ -70,7 +70,7 @@ def test_literal_node_layout():
 def test_literal_hypergraph_shapes():
     hg = build_literal_hypergraph(small_instance())
     assert hg.num_nodes == 6
-    assert hg.num_edges == 3
+    assert hg.h.shape == (6, 3)
     assert edge_nodes(hg, 0) == (0, 2, 4)  # x1, x3, not x2
     assert edge_nodes(hg, 1) == (1, 3)
     assert edge_nodes(hg, 2) == (1,)
@@ -86,7 +86,6 @@ def test_variable_hypergraph_merges_polarity():
     assert hg.num_nodes == 3
     assert edge_nodes(hg, 0) == (0, 1, 2)
     assert edge_nodes(hg, 1) == (0, 1)
-    assert hg.mode == "variable"
 
 
 def test_variable_hypergraph_dedups_opposite_literals():
@@ -195,4 +194,4 @@ def test_incidence_matches_edges():
         nodes = [l - 1 if l > 0 else n - l - 1 for l in lits]
         assert list(np.flatnonzero(h[:, j])) == sorted(nodes)
     assert np.array_equal(h.sum(axis=0), hg.edge_degree)
-    assert np.array_equal(h @ hg.edge_weights, hg.node_degree)
+    assert np.array_equal(h @ inst.weight, hg.node_degree)

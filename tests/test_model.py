@@ -17,11 +17,12 @@ from hypersat.model import (
     ModelConfig,
     build_forward,
     conv_layer,
-    dropout_masks,
     init_params,
     round_half_up,
 )
+from hypersat.objective import compile_clauses
 from hypersat.rng import derive_key, make_rng
+from hypersat.solver import _epoch_losses
 from hypersat.wcnf import assign_random_weights, generate_random_3sat
 
 
@@ -44,6 +45,12 @@ def infer(s, params, config):
     return ft.y.value[:, 0], ft
 
 
+def head_logits(s, params, ft):
+    """The 2n logits of a literal-mode pass, from its penultimate banks."""
+    h1 = ad.Tensor(np.vstack([ft.penult_pos.value, ft.penult_neg.value]))
+    return conv_layer(s, h1, ad.Tensor(params["conv2"]), "identity").value
+
+
 def test_round_half_up():
     assert round_half_up(0.4) == 0
     assert round_half_up(0.5) == 1
@@ -52,15 +59,18 @@ def test_round_half_up():
 
 
 def test_derived_widths():
-    # width = round(sqrt(n)) at the input, half that in the hidden layer
+    # width = round(sqrt(n)) at the input, half that in the hidden layer,
+    # each at least 2
     assert ModelConfig(num_vars=250).input_dim == 16
     assert ModelConfig(num_vars=250).hidden_dim == 8
     assert ModelConfig(num_vars=100).input_dim == 10
     assert ModelConfig(num_vars=100).hidden_dim == 5
+    assert ModelConfig(num_vars=9).input_dim == 3
+    assert ModelConfig(num_vars=9).hidden_dim == 2
+    assert ModelConfig(num_vars=8).hidden_dim == 2
     assert ModelConfig(num_vars=4).input_dim == 2
-    assert ModelConfig(num_vars=4).hidden_dim == 1
-    assert ModelConfig(num_vars=250, d0=3, d1=2).input_dim == 3
-    assert ModelConfig(num_vars=250, d0=3, d1=2).hidden_dim == 2
+    assert ModelConfig(num_vars=4).hidden_dim == 2
+    assert ModelConfig(num_vars=2).input_dim == 2
 
 
 def test_config_rejects_unknown_mode():
@@ -69,9 +79,17 @@ def test_config_rejects_unknown_mode():
             ModelConfig(num_vars=4, mode=mode)
 
 
+def test_config_rejects_attention_in_variable_mode():
+    # variable mode has no literal banks for the attention to pair up
+    with pytest.raises(ValueError, match="use_transformer"):
+        ModelConfig(num_vars=4, mode="variable")
+
+
 def test_num_nodes_by_mode():
     assert ModelConfig(num_vars=7).num_nodes == 14
-    assert ModelConfig(num_vars=7, mode="variable").num_nodes == 7
+    assert ModelConfig(
+        num_vars=7, mode="variable", use_transformer=False
+    ).num_nodes == 7
 
 
 def test_init_params_shapes_and_determinism():
@@ -97,21 +115,21 @@ def test_init_params_shapes_and_determinism():
     "config, digest",
     [
         (
-            ModelConfig(num_vars=10, seed=4, d0=4, d1=3),
-            "fffdc89823ee2944a5f8d6554bf641626bcd9dcc7dd00105842695b8d5b47e06",
+            ModelConfig(num_vars=10, seed=4),
+            "ea0cd08e51ca195e4f8cad56b81800cbde8732236955a1f3abc12230c5b0288c",
         ),
         (
             ModelConfig(
                 num_vars=7, seed=2, mode="variable", use_transformer=False
             ),
-            "bd38fd9e2910efbe5edbd0c920c69e34aa9b526cdb9076a7bdf1393c7b2035b8",
+            "84102d7b03ecc8e0370a1ffa266f4aec1743012ac6ef3668b973173f091ee1f6",
         ),
     ],
     ids=["literal", "variable"],
 )
 def test_init_params_are_views_of_one_vector(config, digest):
-    # the digests were recorded from per-parameter arrays, before the
-    # parameters moved into one vector: same draws, same bytes
+    # n = 10 has the widths it had before they were floored at 2, and the
+    # literal digest is the bytes it had then; n = 7 is floored to 3 x 2
     flat, params = init_params(config)
     assert list(params) == sorted(params)
     assert sum(p.size for p in params.values()) == flat.size
@@ -175,7 +193,6 @@ def test_forward_output_shapes_and_range():
     y, ft = infer(s, params, config)
     assert y.shape == (10,)
     assert np.all(y > 0) and np.all(y < 1)
-    assert ft.logits.shape == (20, 1)
     assert ft.penult_pos.shape == ft.penult_neg.shape == (10, config.hidden_dim)
 
 
@@ -184,7 +201,8 @@ def test_pair_softmax_head_complementary():
     # y_i = sigmoid(logit_i - logit_{n+i})
     inst, s, config, params = rand_setup(n=6, m=20, seed=5)
     y, ft = infer(s, params, config)
-    diffs = ft.logits.value[:6, 0] - ft.logits.value[6:, 0]
+    logits = head_logits(s, params, ft)
+    diffs = logits[:6, 0] - logits[6:, 0]
     assert np.allclose(y, 1.0 / (1.0 + np.exp(-diffs)))
 
 
@@ -194,16 +212,16 @@ def test_variable_mode_sigmoid_head():
     )
     y, ft = infer(s, params, config)
     assert y.shape == (6,)
-    assert np.allclose(y, 1.0 / (1.0 + np.exp(-ft.logits.value[:, 0])))
+    leaves = {name: ad.Tensor(p) for name, p in params.items()}
+    h1 = conv_layer(s, leaves["embed"], leaves["conv1"], "relu")
+    logits = conv_layer(s, h1, leaves["conv2"], "identity").value
+    assert np.allclose(y, 1.0 / (1.0 + np.exp(-logits[:, 0])))
     assert ft.penult_pos is None and ft.penult_neg is None
 
 
 def test_transformer_ablation_changes_output():
-    # width >= 2 so LayerNorm is not degenerate
-    inst, s, config, params = rand_setup(n=8, m=28, seed=6, d0=4, d1=3)
-    plain_config = ModelConfig(
-        num_vars=8, seed=6, use_transformer=False, d0=4, d1=3
-    )
+    inst, s, config, params = rand_setup(n=8, m=28, seed=6)
+    plain_config = ModelConfig(num_vars=8, seed=6, use_transformer=False)
     _, plain_params = init_params(plain_config)
     with_t, _ = infer(s, params, config)
     without_t, _ = infer(s, plain_params, plain_config)
@@ -218,9 +236,9 @@ def test_forward_deterministic_inference():
 
 
 def test_training_dropout_changes_output():
-    inst, s, config, params = rand_setup(n=8, m=28, seed=8, d0=4, d1=3)
+    inst, s, config, params = rand_setup(n=8, m=28, seed=8)
     base = build_forward(s, params, config, training=False).y.value
-    masks = dropout_masks(config, derive_key(8, 0xD0, 1))
+    masks = ad.dropout_masks(derive_key(8, 0xD0, 1), 8)
     dropped = build_forward(
         s, params, config, training=True, dropout=masks
     ).y.value
@@ -231,12 +249,30 @@ def test_training_dropout_changes_output():
 
 
 def test_training_attention_requires_dropout_masks():
-    inst, s, config, params = rand_setup(n=8, m=28, seed=8, d0=4, d1=3)
+    inst, s, config, params = rand_setup(n=8, m=28, seed=8)
     with pytest.raises(ValueError, match="dropout masks"):
         build_forward(s, params, config, training=True)
     # a model without attention has nothing to drop
     plain = ModelConfig(num_vars=8, seed=8, use_transformer=False)
     build_forward(s, init_params(plain)[1], plain, training=True)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_small_models_pass_gradient_to_every_parameter(n):
+    # A 1-wide hidden layer normalizes every LayerNorm row to zero, which
+    # left 14 of the 15 arrays without gradient below n = 9.  A dead ReLU
+    # row can still zero a few arrays on one instance at any n, so each
+    # array must get a gradient from at least one of five instances.
+    dead = None
+    for seed in range(5):
+        inst, s, config, params = rand_setup(n, round(4.3 * n), seed)
+        masks = ad.dropout_masks(derive_key(seed, 0xD0, 1), n)
+        ft = build_forward(s, params, config, training=True, dropout=masks)
+        ad.backward(_epoch_losses(ft, compile_clauses(inst), 2e-3)[0])
+        assert len(ft.leaves) == 15
+        zero = {name for name, t in ft.leaves.items() if not t.grad.any()}
+        dead = zero if dead is None else dead & zero
+    assert dead == set()
 
 
 def test_operator_size_mismatch_rejected():

@@ -60,7 +60,10 @@ def test_config_validation():
     for lam in (-1.0, -1e-300, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="lam"):
             SolveConfig(lam=lam)
-    SolveConfig(lam=0.0, mode="variable")
+    # the attention needs the literal banks that variable mode merges
+    with pytest.raises(ValueError, match="use_transformer"):
+        SolveConfig(lam=0.0, mode="variable")
+    SolveConfig(lam=0.0, mode="variable", use_transformer=False)
 
 
 def fresh_adam(flat):
@@ -145,7 +148,7 @@ def test_training_reduces_loss_on_easy_instance():
     # a single-clause instance is satisfiable; loss should approach zero
     inst = make_instance(4, [((1, 2, 3), 6), ((-1, 4), 3)])
     config = SolveConfig(seed=1, max_epochs=150)
-    _, y, trace, epochs, final = train(inst, config)
+    y, trace, epochs, final = train(inst, config)
     assert final.task < 0.5
     assert trace[0].task > final.task
     assert epochs <= 150
@@ -155,7 +158,7 @@ def test_kept_parameters_achieve_best_monitored_loss():
     # the returned parameters correspond to the lowest monitored loss, so
     # the dropout-off final evaluation beats the first epoch
     inst = rand_instance(5)
-    _, _, trace, _, final = train(inst, SolveConfig(seed=5, max_epochs=80))
+    _, trace, _, final = train(inst, SolveConfig(seed=5, max_epochs=80))
     assert final.total <= trace[0].total
 
 
@@ -170,7 +173,7 @@ def test_early_stopping_on_plateau():
         max_epochs=300,
         use_transformer=False,
     )
-    _, _, trace, epochs, _ = train(inst, config)
+    _, trace, epochs, _ = train(inst, config)
     assert epochs == EARLY_STOP_PATIENCE + 1
 
 
@@ -179,13 +182,13 @@ def test_train_leaves_no_thread_behind(monkeypatch):
     # of training ends it: max epochs, an early stop, and an error
     inst = rand_instance(3)
     before = threading.active_count()
-    assert train(inst, SolveConfig(seed=3, max_epochs=5))[3] == 5
+    assert train(inst, SolveConfig(seed=3, max_epochs=5))[2] == 5
     assert threading.active_count() == before
 
     # no epoch beats the best by an infinite margin, so every epoch stalls
     monkeypatch.setattr(solver, "EARLY_STOP_TOLERANCE", float("inf"))
     monkeypatch.setattr(solver, "EARLY_STOP_PATIENCE", 3)
-    assert train(inst, SolveConfig(seed=3, max_epochs=50))[3] == 3
+    assert train(inst, SolveConfig(seed=3, max_epochs=50))[2] == 3
     assert threading.active_count() == before
 
     losses = solver._epoch_losses
@@ -235,10 +238,10 @@ def test_masks_drawn_ahead_or_inline_train_alike(monkeypatch):
     # the epoch's start.  Both read the same keys
     inst = rand_instance(9)
     config = SolveConfig(seed=9, max_epochs=20)
-    _, y_ahead, t_ahead, _, _ = train(inst, config)
+    y_ahead, t_ahead, _, _ = train(inst, config)
     before = threading.active_count()
     monkeypatch.setattr(solver, "THREAD_CELLS", 1)
-    _, y_inline, t_inline, _, _ = train(inst, config)
+    y_inline, t_inline, _, _ = train(inst, config)
     assert threading.active_count() == before
     assert np.array_equal(y_ahead, y_inline) and t_ahead == t_inline
 
@@ -246,17 +249,15 @@ def test_masks_drawn_ahead_or_inline_train_alike(monkeypatch):
 def test_train_deterministic():
     inst = rand_instance(9)
     config = SolveConfig(seed=9, max_epochs=40)
-    p1, y1, t1, e1, f1 = train(inst, config)
-    p2, y2, t2, e2, f2 = train(inst, config)
+    y1, t1, e1, f1 = train(inst, config)
+    y2, t2, e2, f2 = train(inst, config)
     assert np.array_equal(y1, y2)
-    assert e1 == e2 and t1 == t2
-    for k in p1:
-        assert np.array_equal(p1[k], p2[k])
+    assert e1 == e2 and t1 == t2 and f1 == f2
 
 
 def test_lambda_zero_skips_shared_loss():
     inst = rand_instance(4)
-    _, _, trace, _, _ = train(inst, SolveConfig(seed=4, max_epochs=10, lam=0.0))
+    _, trace, _, _ = train(inst, SolveConfig(seed=4, max_epochs=10, lam=0.0))
     assert all(lb.shared == 0.0 for lb in trace)
     assert all(lb.total == lb.task for lb in trace)
 
@@ -266,7 +267,7 @@ def test_variable_mode_trains():
     config = SolveConfig(
         seed=6, max_epochs=30, mode="variable", use_transformer=False, lam=0.0
     )
-    _, y, trace, _, _ = train(inst, config)
+    y, trace, _, _ = train(inst, config)
     assert y.shape == (inst.num_vars,)
     assert np.all((y > 0) & (y < 1))
 
