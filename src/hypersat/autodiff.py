@@ -1,4 +1,4 @@
-"""Minimal reverse-mode automatic differentiation over dense float64 arrays.
+"""Minimal reverse-mode automatic differentiation over dense float64 tensors.
 
 A ``Tensor`` wraps a numpy array and remembers how it was produced; calling
 ``backward`` on a scalar result walks the graph in reverse topological
@@ -17,6 +17,13 @@ takes ``keep``, the two directions' masks packed to bits, which
 an executor that runs the second direction on plain arrays (the tape is
 built and walked by the caller's thread alone), with the same tiles, so
 results are bit-identical with or without it.
+
+Precision: from ``LARGE_CELLS`` score cells per direction (n >= 512) the
+attention works in single precision.  Its tiles, their GEMMs and its row
+statistics are float32, and its dropout masks cut four 16-bit cells from
+each Philox word.  Everything on the tape stays float64: Tensor values, the
+op's output and gradients, and the k and v gradients summed over tiles.
+Below the cutoff every array is float64.
 """
 
 from __future__ import annotations
@@ -35,6 +42,14 @@ DRAW_CELLS = 2**14
 LAYER_NORM_EPS = 1e-5
 # inverted-dropout probability of the cross-attention weights
 ATTENTION_DROPOUT = 0.1
+# Score cells (rows x cols) per attention direction from which the attention
+# works in single precision and solver.train's worker runs the second
+# direction (n >= 512).
+LARGE_CELLS = 2**18
+# Shifted float32 scores are floored here before exp.  e**-40 vanishes in a
+# row sum of at least 1, and scores below about -87 would give subnormals,
+# over which exp and the products run about ten times slower.
+SCORE_FLOOR = -40.0
 
 
 class Tensor:
@@ -218,16 +233,30 @@ def _row_tiles(rows: int, cols: int, cells: int):
     return [slice(a, min(a + step, rows)) for a in range(0, rows, step)]
 
 
+def _single(cells: int) -> bool:
+    """Whether attention over ``cells`` score cells per direction works in
+    single precision: float32 tiles and 16-bit dropout cells."""
+    return cells >= LARGE_CELLS
+
+
+def _half_threshold() -> int:
+    """The least 16-bit dropout cell that is kept."""
+    return math.ceil(ATTENTION_DROPOUT * 2**16)
+
+
 def _probs(q, k, scale, out, top=None, total=None):
-    """Row softmax of ``scale * q @ k.T``, written into ``out``; returns the
-    row max and the row sum of the exponentials.  Given those of an earlier
-    call on the same rows, it recomputes that call's probabilities bit for
-    bit."""
+    """Row softmax of ``scale * q @ k.T``, written into ``out`` in its dtype
+    (float32 scores are floored at ``SCORE_FLOOR`` below the row max);
+    returns the row max and the row sum of the exponentials.  Given those of
+    an earlier call on the same rows, it recomputes that call's
+    probabilities bit for bit."""
     np.matmul(q, k.T, out=out)
     out *= scale
     if top is None:
         top = out.max(axis=1, keepdims=True)
     out -= top
+    if out.dtype == np.float32:
+        np.maximum(out, SCORE_FLOOR, out=out)
     np.exp(out, out=out)
     if total is None:
         total = out.sum(axis=1, keepdims=True)
@@ -242,12 +271,14 @@ def _unpacked(keep, rows, cols):
 
 def _attend(q, k, v, scale, inv, keep):
     """One direction's forward on plain arrays, one row tile at a time:
-    (output, row max, row sum).  Builds no Tensor, so it may run on a
+    (float64 output, row max, row sum), the tiles and row statistics in the
+    dtype of ``q``, ``k`` and ``v``.  Builds no Tensor, so it may run on a
     second thread."""
     tiles = _row_tiles(len(q), len(k), TILE_CELLS)
-    tile = np.empty((tiles[0].stop, len(k)))
+    tile = np.empty((tiles[0].stop, len(k)), q.dtype)
     out = np.empty((len(q), v.shape[1]))
-    top, total = np.empty((len(q), 1)), np.empty((len(q), 1))
+    top = np.empty((len(q), 1), q.dtype)
+    total = np.empty_like(top)
     for rows in tiles:
         probs = tile[: rows.stop - rows.start]
         top[rows], total[rows] = _probs(q[rows], k, scale, probs)
@@ -260,9 +291,10 @@ def _attend(q, k, v, scale, inv, keep):
 
 def _attend_back(g, q, k, v, scale, inv, keep, top, total):
     """One direction's backward on plain arrays, recomputing each row
-    tile's probabilities: gradients of (q, k, v)."""
+    tile's probabilities in the dtype of its inputs: float64 gradients of
+    (q, k, v)."""
     tiles = _row_tiles(len(q), len(k), TILE_CELLS)
-    tile = np.empty((3, tiles[0].stop, len(k)))
+    tile = np.empty((3, tiles[0].stop, len(k)), q.dtype)
     dq = np.empty(q.shape)
     dk = dv = None
     for rows in tiles:
@@ -286,7 +318,8 @@ def _attend_back(g, q, k, v, scale, inv, keep, top, total):
         # the first tile's products are kept as they are, so an op that
         # fits in one tile gives the bits of the whole-array computation
         if dv is None:
-            dv, dk = dv_rows, dk_rows
+            dv = dv_rows.astype(np.float64, copy=False)
+            dk = dk_rows.astype(np.float64, copy=False)
         else:
             dv += dv_rows
             dk += dk_rows
@@ -306,31 +339,45 @@ def dropout_masks(key: int, n: int, pool=None) -> tuple[np.ndarray, np.ndarray]:
     """The n x n keep masks of both ``paired_attention`` directions, packed
     to bits along rows (``np.packbits(mask, axis=1)``).
 
-    A cell is kept when its raw word of the Philox stream ``key`` names is
-    at least ``ceil(ATTENTION_DROPOUT * 2**53) << 11``: ``random()`` is
+    The cells come row by row from the Philox stream ``key`` names.  Below
+    ``LARGE_CELLS`` cells a cell is one raw word, kept when it is at least
+    ``ceil(ATTENTION_DROPOUT * 2**53) << 11``: ``random()`` is
     ``(word >> 11) * 2**-53``, so this keeps what
     ``Generator(Philox(key=key)).random((n, n)) >= ATTENTION_DROPOUT``
-    keeps, from the same words, at half the cost.  The first mask takes
-    the stream's first n * n words; the second opens the stream again past
-    them (Philox makes words in blocks of four, which ``advance`` skips),
-    so it is the mask the serial order would draw.  Words are drawn one
-    row tile of about ``DRAW_CELLS`` at a time, so the draw holds no n x n
-    array but the packed masks.  The second mask is drawn on ``pool`` when
-    one is given; the result depends on the key alone, whatever thread
-    draws it."""
-    threshold = np.uint64(math.ceil(ATTENTION_DROPOUT * 2.0**53) << 11)
+    keeps, from the same words, at half the cost.  From the cutoff each
+    word is cut into four 16-bit cells (``random_raw(...).view(np.uint16)``),
+    kept when at least ``ceil(ATTENTION_DROPOUT * 2**16)``, so a mask takes
+    ceil(n * n / 4) words.  The first mask takes the stream's first n * n
+    cells; the second opens the stream again past their words (Philox
+    makes words in blocks of four, which ``advance`` skips), so it is the
+    mask the serial order would draw.  Words are drawn about
+    ``DRAW_CELLS`` at a time, in tiles of whole rows and whole words, so
+    the draw holds no n x n array but the packed masks.  The second mask is
+    drawn on ``pool`` when one is given; the result depends on the key
+    alone, whatever thread draws it."""
+    if _single(n * n):
+        cell, threshold = np.uint16, _half_threshold()
+    else:
+        cell = np.uint64
+        threshold = np.uint64(math.ceil(ATTENTION_DROPOUT * 2.0**53) << 11)
+    per_word = 8 // np.dtype(cell).itemsize
+    # a multiple of per_word rows ends each tile but the last on a whole word
+    step = per_word * max(1, DRAW_CELLS // n)
 
     def draw(skip):
         bitgen = np.random.Philox(key=key)
         bitgen.advance(skip // 4)
         bitgen.random_raw(skip % 4)
         packed = np.empty((n, -(-n // 8)), dtype=np.uint8)
-        for tile in _row_tiles(n, n, DRAW_CELLS):
-            words = bitgen.random_raw((tile.stop - tile.start, n))
-            packed[tile] = np.packbits(words >= threshold, axis=1)
+        for start in range(0, n, step):
+            rows = slice(start, min(start + step, n))
+            count = (rows.stop - rows.start) * n
+            cells = bitgen.random_raw(-(-count // per_word)).view(cell)
+            kept = cells[:count].reshape(-1, n) >= threshold
+            packed[rows] = np.packbits(kept, axis=1)
         return packed
 
-    return _pair(pool, draw, (0,), (n * n,))
+    return _pair(pool, draw, (0,), (-(-n * n // per_word),))
 
 
 def paired_attention(
@@ -350,15 +397,31 @@ def paired_attention(
 
     Inverted dropout at ``ATTENTION_DROPOUT``: ``keep`` is the pair of
     packed masks that ``dropout_masks`` draws, and survivors are scaled by
-    1/(1 - ATTENTION_DROPOUT); ``None`` (inference) drops nothing.  Each tile unpacks its
-    rows of the mask when it needs them.
+    1/(1 - ATTENTION_DROPOUT), or by 2**16 / (2**16 - t) for 16-bit cells
+    kept from t = ceil(ATTENTION_DROPOUT * 2**16), so that a cell's
+    expected factor is 1; ``None`` (inference) drops nothing.  Each tile
+    unpacks its rows of the mask when it needs them.
+
+    From ``LARGE_CELLS`` score cells in the first direction, forward and
+    backward each cast q, k, v (and backward the incoming gradient) to
+    float32 once, and the tiles and the saved row statistics are float32;
+    the output, the gradients and their sums over tiles are float64.
+    Below it, all is float64.
 
     Given ``pool``, the second direction's forward and backward run on it
     while the first runs on the caller's thread; numpy releases the GIL for
     BLAS and ufuncs.
     """
-    first = (q_pos.value, k_neg.value, v_neg.value)
-    second = (q_neg.value, k_pos.value, v_pos.value)
+    single = _single(len(q_pos.value) * len(k_neg.value))
+    dtype = np.float32 if single else np.float64
+    directions = ((q_pos, k_neg, v_neg), (q_neg, k_pos, v_pos))
+
+    def cast():
+        # backward casts again, so the tape keeps no float32 copies
+        return [tuple(t.value.astype(dtype, copy=False) for t in d)
+                for d in directions]
+
+    first, second = cast()
     keep = (None, None) if keep is None else keep
     for (q, k, _), mask in zip((first, second), keep):
         if mask is not None and mask.shape != (len(q), -(-len(k) // 8)):
@@ -367,6 +430,8 @@ def paired_attention(
             )
     scale = 1.0 / math.sqrt(q_pos.value.shape[1])
     inv = 1.0 / (1.0 - ATTENTION_DROPOUT)
+    if single:
+        inv = 2**16 / (2**16 - _half_threshold())
     (out1, *saved1), (out2, *saved2) = _pair(
         pool,
         _attend,
@@ -376,15 +441,15 @@ def paired_attention(
     split = len(out1)
 
     def back(g):
+        g = g.astype(dtype, copy=False)
+        first, second = cast()
         grads = _pair(
             pool,
             _attend_back,
             (g[:split], *first, scale, inv, keep[0], *saved1),
             (g[split:], *second, scale, inv, keep[1], *saved2),
         )
-        for (q, k, v), (dq, dk, dv) in zip(
-            ((q_pos, k_neg, v_neg), (q_neg, k_pos, v_pos)), grads
-        ):
+        for (q, k, v), (dq, dk, dv) in zip(directions, grads):
             v._accumulate(dv)
             q._accumulate(dq)
             k._accumulate(dk)

@@ -11,16 +11,18 @@ those parameters.  Rounding draws k independent Bernoulli assignments from
 the probability vector and keeps the one with the least unsatisfied weight
 (first drawn wins ties).
 
-Threading: ``train`` keeps one worker thread for the whole solve, started
-only if a model with attention needs it.  From ``THREAD_CELLS`` score cells
-per attention direction (n >= 512) the worker runs the second half of each
-pair (the second dropout mask, and the second direction's forward and
-backward) while the solve's thread runs the first, and each epoch's masks
-are drawn at its start.  Below the cutoff the attention leaves the second
-core idle, so the worker draws each epoch's masks while the epoch before
-trains.  The masks are a function of the seed and the epoch alone, and
-each direction's tiles are the same on either thread, so results do not
-depend on thread timing or on which thread ran what.
+Threading and precision: ``train`` keeps one worker thread for the whole
+solve, started only if a model with attention needs it.  From
+``autodiff.LARGE_CELLS`` score cells per attention direction (n >= 512) the
+worker runs the second half of each pair (the second dropout mask, and the
+second direction's forward and backward) while the solve's thread runs the
+first, and each epoch's masks are drawn at its start; at the same cutoff
+the attention works in float32 tiles with 16-bit dropout cells.  Below the
+cutoff the attention is float64 and leaves the second core idle, so the
+worker draws each epoch's masks while the epoch before trains.  The masks
+are a function of the seed and the epoch alone, and each direction's tiles
+are the same on either thread, so results do not depend on thread timing
+or on which thread ran what.
 """
 
 from __future__ import annotations
@@ -51,10 +53,6 @@ ADAM_EPS = 1e-8
 # the tolerance for this many epochs in a row
 EARLY_STOP_TOLERANCE = 1e-4
 EARLY_STOP_PATIENCE = 50
-# Score cells (rows x cols) per attention direction from which the solve's
-# worker runs the second direction; below it the hand-off costs more than it
-# saves.
-THREAD_CELLS = 2**18
 
 
 @dataclass(frozen=True)
@@ -192,7 +190,7 @@ def train(instance: WcnfInstance, config: SolveConfig) -> tuple[
     with np.errstate(**quiet), ThreadPoolExecutor(
         1, initializer=functools.partial(np.seterr, **quiet)
     ) as worker:
-        pool = worker if mconfig.num_vars**2 >= THREAD_CELLS else None
+        pool = worker if mconfig.num_vars**2 >= ad.LARGE_CELLS else None
         ahead = None
         if config.use_transformer and pool is None:
             # the worker draws with no pool: a task that submitted to its

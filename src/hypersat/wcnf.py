@@ -4,7 +4,9 @@ Clause weights are integers and the evaluator works in exact integer
 arithmetic.  The total weight of an instance must stay below 2^53, so that
 float64 sums of weights (the relaxed loss) are exact too.  The WCNF dialect
 is the classic ``p wcnf n m`` format where every clause line starts with its
-weight; all clauses are soft (no "top" hard-clause weight).
+weight; all clauses are soft.  Hard clauses are rejected by name, whether a
+``p wcnf n m top`` header's top weight or a MaxSAT Evaluation 2022 ``h``
+line marks them.
 
 An instance is its clauses, stored once as flat read-only literal arrays
 that the constructor checks and in which it marks the tautologies; the
@@ -212,6 +214,12 @@ def _parse_dimacs(text: str, weighted: bool, name: str) -> WcnfInstance:
                     lineno,
                 )
             continue
+        if weighted and line.split()[0] == "h":
+            raise WcnfParseError(
+                f"hard clauses are not supported: {line!r} is a hard clause "
+                "of the MaxSAT Evaluation 2022 format",
+                lineno,
+            )
         if num_vars is None:
             raise WcnfParseError("clause before header", lineno)
         try:

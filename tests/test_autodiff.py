@@ -398,10 +398,95 @@ def test_attention_holds_no_score_sized_float_array(threaded, worker):
     finally:
         tracemalloc.stop()
     assert all(t.grad is not None for t in leaves.values())
-    # backward's three float64 row tiles alone show that numpy's
-    # allocations are traced
-    tiles = 3 * (ad.TILE_CELLS // 1200) * 1200 * 8
+    # backward's three row tiles alone show that numpy's allocations are
+    # traced; at this size they are float32
+    itemsize = 4 if ad._single(1200 * 1200) else 8
+    tiles = 3 * (ad.TILE_CELLS // 1200) * 1200 * itemsize
     assert tiles <= peak < 1200 * 1200 * 8
+
+
+def test_single_precision_attention_agrees_with_double(worker):
+    # dropout off, so only the arithmetic differs: float32 tiles against
+    # float64 ones, in one tile and in many, on one thread and on two
+    arrays, weight = attention_inputs(7, n=60, d=8, dv=8)
+    expected = run_attention(fused_attention, arrays, weight, False, None)
+    for pool, tile in itertools.product((None, worker), (None, 256)):
+        op = functools.partial(fused_attention, pool=pool)
+        with constants(LARGE_CELLS=1), cutoffs(tile):
+            out, grads = run_attention(op, arrays, weight, False, None)
+        assert out.dtype == np.float64
+        assert not np.array_equal(out, expected[0])
+        for got, want in [(out, expected[0])] + [
+            (grads[name], expected[1][name]) for name in NAMES
+        ]:
+            assert got.dtype == np.float64
+            assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+
+def half_cells(key, words, skip=0):
+    """The 16-bit cells of ``words`` raw words of the key's Philox stream
+    from word ``skip`` on, drawn in one go."""
+    raw = np.random.Philox(key=key).random_raw(skip + words)
+    return raw[skip:].view(np.uint16)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 13, 40])
+def test_half_masks_continue_the_stream(n, worker):
+    # odd n leaves a part-used last word, and the second mask starts on the
+    # next whole one; every row tile ends on a whole word
+    key = derive_key(n, 0xB4)
+    words = -(-n * n // 4)
+    cells = half_cells(key, 2 * words)
+    both = np.concatenate(
+        [cells[: n * n], cells[4 * words : 4 * words + n * n]]
+    ).reshape(2 * n, n) >= math.ceil(ad.ATTENTION_DROPOUT * 2**16)
+    for pool, tile in itertools.product((None, worker), (None, 8)):
+        with constants(LARGE_CELLS=1), cutoffs(tile):
+            masks = ad.dropout_masks(key, n, pool=pool)
+        assert np.array_equal(masks[0], np.packbits(both[:n], axis=1))
+        assert np.array_equal(masks[1], np.packbits(both[n:], axis=1))
+
+
+def test_half_masks_keep_their_share_unbiased():
+    n = 200
+    with constants(LARGE_CELLS=1):
+        out, _ = uniform_attention(ad.dropout_masks(derive_key(4, 0xB0), n))
+    threshold = math.ceil(ad.ATTENTION_DROPOUT * 2**16)
+    assert threshold == 6554
+    keep, scale = 1 - threshold / 2**16, 2**16 / (2**16 - threshold)
+    assert keep * scale == 1.0
+    # survivors are 1/n scaled in float32, the rest exact zeros
+    survivor = np.float32(np.float32(1 / n) * np.float32(scale))
+    assert set(np.unique(out.value)) == {0.0, float(survivor)}
+    # the kept share within five binomial deviations, and keep * scale
+    # averaging 1 over all cells
+    cells = out.value.size
+    kept = (out.value != 0).mean()
+    sigma = math.sqrt(keep * (1 - keep) / cells)
+    assert abs(kept - keep) < 5 * sigma
+    assert abs(out.value.mean() * n - 1.0) < 5 * sigma * scale
+
+
+def test_single_precision_scores_leave_no_subnormal_probability():
+    # scores spread over several hundred: unfloored, most of each row's
+    # exponentials would be subnormal or zero in float32
+    rng = make_rng(8, 0xB5)
+    q = (rng.standard_normal((16, 4)) * 30).astype(np.float32)
+    k = (rng.standard_normal((50, 4)) * 30).astype(np.float32)
+    scores = (q.astype(np.float64) @ k.T.astype(np.float64)) * 0.5
+    assert (scores.max(axis=1) - scores.min(axis=1)).min() > 100
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    tiny = np.finfo(np.float32).tiny
+    assert (np.exp(shifted) < tiny).any()
+    tile = np.empty((16, 50), np.float32)
+    top, total = ad._probs(q, k, 0.5, tile)
+    assert tile.dtype == top.dtype == total.dtype == np.float32
+    assert not ((tile > 0) & (tile < tiny)).any()
+    assert tile.min() > 0
+    # backward's recomputation from the saved row statistics
+    again = np.empty_like(tile)
+    ad._probs(q, k, 0.5, again, top, total)
+    assert np.array_equal(again, tile)
 
 
 @given(SEEDS, st.sampled_from([0.0, 0.2, 0.6]))

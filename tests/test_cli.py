@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import hypersat
-from hypersat import cli, solver
+from hypersat import autodiff as ad
+from hypersat import cli
 from hypersat.cli import CSV_HEADER, build_parser, main
 from hypersat.wcnf import parse_wcnf
 
@@ -143,10 +144,10 @@ def test_solve_goes_on_past_a_diverging_instance(tmp_path, capsys, flag, value):
 @pytest.mark.parametrize("n", [20, 600], ids=["inline", "threaded"])
 def test_diverging_solve_prints_only_its_error(tmp_path, capsys, n, lr):
     # a diverging run overflows on its way to a non-finite loss, and only
-    # the error may reach stderr.  From THREAD_CELLS score cells the
+    # the error may reach stderr.  From LARGE_CELLS score cells the
     # attention's second direction runs on the solve's worker thread, which
     # keeps a numpy error state of its own; at lr 1e100 it overflows there
-    assert (n * n >= solver.THREAD_CELLS) == (n == 600)
+    assert (n * n >= ad.LARGE_CELLS) == (n == 600)
     data = gen_dataset(tmp_path, n=n, m=round(4.26 * n), count=1)
     env = dict(os.environ)
     src = str(Path(hypersat.__file__).resolve().parents[1])

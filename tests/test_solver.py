@@ -233,17 +233,21 @@ def test_solve_starts_one_thread_at_most(monkeypatch, n):
 
 
 def test_masks_drawn_ahead_or_inline_train_alike(monkeypatch):
-    # below THREAD_CELLS train's worker draws each epoch's masks ahead; from
+    # below LARGE_CELLS train's worker draws each epoch's masks ahead; from
     # it, the worker runs the second direction and the masks are drawn at
-    # the epoch's start.  Both read the same keys
+    # the epoch's start.  Both read the same keys.  The cutoff also sets
+    # the attention's precision, so each pair of runs holds it fixed
     inst = rand_instance(9)
     config = SolveConfig(seed=9, max_epochs=20)
-    y_ahead, t_ahead, _, _ = train(inst, config)
-    before = threading.active_count()
-    monkeypatch.setattr(solver, "THREAD_CELLS", 1)
-    y_inline, t_inline, _, _ = train(inst, config)
-    assert threading.active_count() == before
-    assert np.array_equal(y_ahead, y_inline) and t_ahead == t_inline
+    for single in (False, True):
+        monkeypatch.setattr(ad, "_single", lambda cells: single)
+        y_ahead, t_ahead, _, _ = train(inst, config)
+        before = threading.active_count()
+        with monkeypatch.context() as patch:
+            patch.setattr(ad, "LARGE_CELLS", 1)
+            y_inline, t_inline, _, _ = train(inst, config)
+        assert threading.active_count() == before
+        assert np.array_equal(y_ahead, y_inline) and t_ahead == t_inline
 
 
 def test_train_deterministic():
@@ -344,7 +348,8 @@ def test_solve_reproduces_recorded_results():
 
 
 # n = 600 gives 360000 score cells per attention direction, above
-# solver.THREAD_CELLS, so the solve's worker runs the second direction
+# autodiff.LARGE_CELLS, so the solve's worker runs the second direction and
+# the attention works in float32 tiles with 16-bit dropout cells
 LARGE_SOLVE = """
 import hashlib
 from hypersat.solver import SolveConfig, solve
@@ -359,11 +364,11 @@ print(r.unsat_weight, float(r.final_loss.total).hex(), h.hexdigest())
 
 def test_threaded_solve_reproduces_recorded_results():
     # Recorded with numpy 2.4 / OpenBLAS on x86-64 from the directions run
-    # one after the other, each in row tiles of autodiff.TILE_CELLS score
-    # cells: n = 600 spans several, so the tile height moves these.  A GEMM
-    # with an n-long inner dimension gives other bits on two BLAS threads
-    # than on one, so the solve runs in a child process pinned to one, as
-    # the benchmark pins it.
+    # one after the other, each in float32 row tiles of autodiff.TILE_CELLS
+    # score cells: n = 600 spans several, so the tile height moves these.
+    # A GEMM with an n-long inner dimension gives other bits on two BLAS
+    # threads than on one, so the solve runs in a child process pinned to
+    # one, as the benchmark pins it.
     env = dict(os.environ)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
@@ -377,9 +382,9 @@ def test_threaded_solve_reproduces_recorded_results():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [
-        "1587",
-        "0x1.9d188af433884p+10",
-        "ee002564a8285a209d20e3250aa6001091ba8ae58bb44fb2be1e71ec7c39094d",
+        "1580",
+        "0x1.9cb8ba335685ep+10",
+        "eb3c31b32fc9481599a5f9fb36a50255583ec435494dc83ac34f56b28a944249",
     ]
 
 

@@ -137,6 +137,19 @@ def test_parse_rejects_classic_header_with_top_weight():
     assert "top weight (10)" in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [("c no header\nh 1 2 0\n3 -1 0\n", 2),
+     ("p wcnf 2 2\n3 -1 0\nh 1 2 0\n", 3)],
+    ids=["without-header", "after-header"],
+)
+def test_parse_rejects_evaluation_2022_hard_clauses(text, line):
+    with pytest.raises(WcnfParseError, match="hard clauses") as info:
+        parse_wcnf(text)
+    assert info.value.line == line
+    assert "'h 1 2 0'" in str(info.value)
+
+
 def test_parse_rejects_a_second_header():
     text = "p wcnf 3 2\n5 1 -2 3 0\np wcnf 1 2\n2 -1 0\n"
     with pytest.raises(WcnfParseError, match="second header") as info:
