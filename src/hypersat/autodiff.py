@@ -10,20 +10,23 @@ central finite differences in the tests.
 
 ``paired_attention`` computes both cross-attention directions in one op,
 one row tile of about ``TILE_CELLS`` score cells at a time, and never holds
-an n x n float array: the tape keeps each direction's row max and row sum,
-and backward recomputes each tile's probabilities from them.  Its dropout
-takes ``keep``, the two directions' masks packed to bits, which
-``dropout_masks`` draws from a Philox key.  Both take an optional ``pool``,
-an executor that runs the second direction on plain arrays (the tape is
-built and walked by the caller's thread alone), with the same tiles, so
-results are bit-identical with or without it.
+an n x n float array.  As in FlashAttention-2, the forward divides by the
+softmax's row sums on the n x d output, and the tape keeps one log-sum-exp
+column per direction, from which backward recomputes each tile's
+probabilities in one GEMM; backward's row term rowsum(dP * P) is
+rowsum(g * out), taken over the output.  Its dropout takes ``keep``, the
+two directions' masks packed to bits, which ``dropout_masks`` draws from a
+Philox key.  Both take an optional ``pool``, an executor that runs the
+second direction on plain arrays (the tape is built and walked by the
+caller's thread alone), with the same tiles, so results are bit-identical
+with or without it.
 
 Precision: from ``LARGE_CELLS`` score cells per direction (n >= 512) the
-attention works in single precision.  Its tiles, their GEMMs and its row
-statistics are float32, and its dropout masks cut four 16-bit cells from
-each Philox word.  Everything on the tape stays float64: Tensor values, the
-op's output and gradients, and the k and v gradients summed over tiles.
-Below the cutoff every array is float64.
+attention works in single precision.  Its tiles, their GEMMs and its
+log-sum-exp columns are float32, and its dropout masks cut four 16-bit
+cells from each Philox word.  Everything on the tape stays float64: Tensor
+values, the op's output and gradients, and the k and v gradients summed
+over tiles.  Below the cutoff every array is float64.
 """
 
 from __future__ import annotations
@@ -46,9 +49,10 @@ ATTENTION_DROPOUT = 0.1
 # works in single precision and solver.train's worker runs the second
 # direction (n >= 512).
 LARGE_CELLS = 2**18
-# Shifted float32 scores are floored here before exp.  e**-40 vanishes in a
-# row sum of at least 1, and scores below about -87 would give subnormals,
-# over which exp and the products run about ten times slower.
+# Shifted float32 scores (less the row max, or in backward the log-sum-exp)
+# are floored here before exp.  e**-40 vanishes in a row sum of at least 1,
+# and scores below about -87 would give subnormals, over which exp and the
+# products run about ten times slower.
 SCORE_FLOOR = -40.0
 
 
@@ -244,85 +248,80 @@ def _half_threshold() -> int:
     return math.ceil(ATTENTION_DROPOUT * 2**16)
 
 
-def _probs(q, k, scale, out, top=None, total=None):
-    """Row softmax of ``scale * q @ k.T``, written into ``out`` in its dtype
-    (float32 scores are floored at ``SCORE_FLOOR`` below the row max);
-    returns the row max and the row sum of the exponentials.  Given those of
-    an earlier call on the same rows, it recomputes that call's
-    probabilities bit for bit."""
-    np.matmul(q, k.T, out=out)
-    out *= scale
-    if top is None:
-        top = out.max(axis=1, keepdims=True)
-    out -= top
-    if out.dtype == np.float32:
-        np.maximum(out, SCORE_FLOOR, out=out)
-    np.exp(out, out=out)
-    if total is None:
-        total = out.sum(axis=1, keepdims=True)
-    out /= total
-    return top, total
-
-
 def _unpacked(keep, rows, cols):
     """Rows of a packed keep mask as a bool array of ``cols`` columns."""
     return np.unpackbits(keep[rows], axis=1, count=cols).view(bool)
 
 
-def _attend(q, k, v, scale, inv, keep):
-    """One direction's forward on plain arrays, one row tile at a time:
-    (float64 output, row max, row sum), the tiles and row statistics in the
-    dtype of ``q``, ``k`` and ``v``.  Builds no Tensor, so it may run on a
-    second thread."""
+def _attend(q, k, v, scale, inv, keep, out):
+    """One direction's forward on plain arrays, one row tile at a time, in
+    the dtype of ``q``, ``k`` and ``v``, written into the float64 ``out``.
+    A tile takes the row max of its scores, ``exp`` of the shifted scores
+    (floored at ``SCORE_FLOOR`` in float32) and their row sum (a product
+    with ones, which BLAS takes faster than numpy's ``sum``), and takes
+    the kept exponentials into ``out`` unnormalized; ``out`` is divided by
+    the row sums (and scaled by ``inv``) once, after the loop.  Returns the
+    one column that backward needs, each row's log-sum-exp
+    ``max + log(sum)``, in the dtype of the tiles.  Builds no Tensor, so
+    it may run on a second thread."""
     tiles = _row_tiles(len(q), len(k), TILE_CELLS)
     tile = np.empty((tiles[0].stop, len(k)), q.dtype)
-    out = np.empty((len(q), v.shape[1]))
     top = np.empty((len(q), 1), q.dtype)
     total = np.empty_like(top)
+    ones = np.ones(len(k), q.dtype)
+    q = q * scale
     for rows in tiles:
-        probs = tile[: rows.stop - rows.start]
-        top[rows], total[rows] = _probs(q[rows], k, scale, probs)
+        exps = tile[: rows.stop - rows.start]
+        np.matmul(q[rows], k.T, out=exps)
+        exps.max(axis=1, keepdims=True, out=top[rows])
+        exps -= top[rows]
+        if exps.dtype == np.float32:
+            np.maximum(exps, SCORE_FLOOR, out=exps)
+        np.exp(exps, out=exps)
+        np.matmul(exps, ones, out=total[rows, 0])
         if keep is not None:
-            probs *= inv
-            probs *= _unpacked(keep, rows, len(k))
-        np.matmul(probs, v, out=out[rows])
-    return out, top, total
+            exps *= _unpacked(keep, rows, len(k))
+        np.matmul(exps, v, out=out[rows])
+    out *= inv / total
+    return top + np.log(total)
 
 
-def _attend_back(g, q, k, v, scale, inv, keep, top, total):
-    """One direction's backward on plain arrays, recomputing each row
-    tile's probabilities in the dtype of its inputs: float64 gradients of
-    (q, k, v)."""
+def _attend_back(g, q, k, v, scale, inv, keep, lse, c):
+    """One direction's backward on plain arrays, one row tile at a time in
+    the dtype of its inputs: float64 gradients of (q, k, v).  A tile's
+    probabilities P come from one GEMM of ``[q * scale | -lse]`` with
+    ``[k | 1]``, then ``exp``.  The softmax's row term rowsum(dP * P) is
+    ``c``, rowsum(g * out) over the forward's output, which equals it with
+    dropout too (FlashAttention-2), so no n x n row sum is taken."""
     tiles = _row_tiles(len(q), len(k), TILE_CELLS)
     tile = np.empty((3, tiles[0].stop, len(k)), q.dtype)
+    d = q.shape[1]
+    q_lse = np.empty((len(q), d + 1), q.dtype)
+    np.multiply(q, scale, out=q_lse[:, :d])
+    q_lse[:, d:] = -lse
+    k_one = np.ones((len(k), d + 1), k.dtype)
+    k_one[:, :d] = k
+    v = v * inv
     dq = np.empty(q.shape)
-    dk = dv = None
+    dk = np.zeros(k.shape)
+    dv = np.zeros(v.shape)
     for rows in tiles:
         probs, spare, gp = tile[:, : rows.stop - rows.start]
-        _probs(q[rows], k, scale, probs, top[rows], total[rows])
-        dropped = probs
+        np.matmul(q_lse[rows], k_one.T, out=probs)
+        if probs.dtype == np.float32:
+            np.maximum(probs, SCORE_FLOOR, out=probs)
+        np.exp(probs, out=probs)
+        kept = probs
         if keep is not None:
-            kept = _unpacked(keep, rows, len(k))
-            dropped = np.multiply(probs, inv, out=spare)
-            dropped *= kept
-        dv_rows = dropped.T @ g[rows]
+            kept = np.multiply(probs, _unpacked(keep, rows, len(k)), out=spare)
+        dv += kept.T @ g[rows]
         np.matmul(g[rows], v.T, out=gp)
-        if keep is not None:
-            gp *= kept
-            gp *= inv
-        gp -= np.multiply(gp, probs, out=spare).sum(axis=1, keepdims=True)
-        gp *= probs
-        gp *= scale
+        gp *= kept
+        gp -= np.multiply(probs, c[rows], out=spare)
         np.matmul(gp, k, out=dq[rows])
-        dk_rows = (q[rows].T @ gp).T
-        # the first tile's products are kept as they are, so an op that
-        # fits in one tile gives the bits of the whole-array computation
-        if dv is None:
-            dv = dv_rows.astype(np.float64, copy=False)
-            dk = dk_rows.astype(np.float64, copy=False)
-        else:
-            dv += dv_rows
-            dk += dk_rows
+        dk += gp.T @ q_lse[rows, :d]
+    dq *= scale
+    dv *= inv
     return dq, dk, dv
 
 
@@ -387,13 +386,13 @@ def paired_attention(
 ) -> Tensor:
     """Both cross-attention directions, stacked by rows: each is
     ``dropout(row_softmax(q @ k.T / sqrt(d))) @ v``, with d the width of
-    ``q_pos``, and the result is bit-identical to that chain of ops for
-    (q_pos, k_neg, v_neg), then for (q_neg, k_pos, v_pos), then stacking
-    the two, when one row tile of ``TILE_CELLS`` covers a direction; with
-    more tiles, each tile's GEMMs are shorter and the k and v gradients
-    sum over tiles, so results agree to rounding.  The tape keeps only
-    each direction's row max and row sum besides ``keep``; backward
-    recomputes the probabilities tile by tile.
+    ``q_pos``, for (q_pos, k_neg, v_neg), then for (q_neg, k_pos, v_pos).
+    The result agrees to rounding with that chain of ops followed by
+    stacking the two: the softmax is normalized on the n x d output
+    instead of on the scores, and the k and v gradients sum over row tiles
+    of ``TILE_CELLS``.  The tape keeps one log-sum-exp column per direction
+    besides ``keep`` and the output; backward recomputes the probabilities
+    tile by tile.
 
     Inverted dropout at ``ATTENTION_DROPOUT``: ``keep`` is the pair of
     packed masks that ``dropout_masks`` draws, and survivors are scaled by
@@ -404,9 +403,9 @@ def paired_attention(
 
     From ``LARGE_CELLS`` score cells in the first direction, forward and
     backward each cast q, k, v (and backward the incoming gradient) to
-    float32 once, and the tiles and the saved row statistics are float32;
-    the output, the gradients and their sums over tiles are float64.
-    Below it, all is float64.
+    float32 once, and the tiles and the saved log-sum-exp columns are
+    float32; the output, the gradients and their sums over tiles are
+    float64.  Below it, all is float64.
 
     Given ``pool``, the second direction's forward and backward run on it
     while the first runs on the caller's thread; numpy releases the GIL for
@@ -422,32 +421,35 @@ def paired_attention(
                 for d in directions]
 
     first, second = cast()
-    keep = (None, None) if keep is None else keep
+    inv = 1.0 / (1.0 - ATTENTION_DROPOUT)
+    if single:
+        inv = 2**16 / (2**16 - _half_threshold())
+    if keep is None:
+        keep, inv = (None, None), 1.0
     for (q, k, _), mask in zip((first, second), keep):
         if mask is not None and mask.shape != (len(q), -(-len(k) // 8)):
             raise ValueError(
                 f"keep mask {mask.shape} does not pack {len(q)} x {len(k)}"
             )
     scale = 1.0 / math.sqrt(q_pos.value.shape[1])
-    inv = 1.0 / (1.0 - ATTENTION_DROPOUT)
-    if single:
-        inv = 2**16 / (2**16 - _half_threshold())
-    (out1, *saved1), (out2, *saved2) = _pair(
+    split = len(q_pos.value)
+    out = np.empty((split + len(q_neg.value), v_neg.value.shape[1]))
+    lse = _pair(
         pool,
         _attend,
-        (*first, scale, inv, keep[0]),
-        (*second, scale, inv, keep[1]),
+        (*first, scale, inv, keep[0], out[:split]),
+        (*second, scale, inv, keep[1], out[split:]),
     )
-    split = len(out1)
 
     def back(g):
+        c = (g * out).sum(axis=1, keepdims=True).astype(dtype, copy=False)
         g = g.astype(dtype, copy=False)
         first, second = cast()
         grads = _pair(
             pool,
             _attend_back,
-            (g[:split], *first, scale, inv, keep[0], *saved1),
-            (g[split:], *second, scale, inv, keep[1], *saved2),
+            (g[:split], *first, scale, inv, keep[0], lse[0], c[:split]),
+            (g[split:], *second, scale, inv, keep[1], lse[1], c[split:]),
         )
         for (q, k, v), (dq, dk, dv) in zip(directions, grads):
             v._accumulate(dv)
@@ -455,11 +457,7 @@ def paired_attention(
             k._accumulate(dk)
 
     # parents in this order keep the chain's gradient accumulation order
-    return Tensor(
-        np.concatenate([out1, out2]),
-        (q_pos, k_neg, v_neg, q_neg, k_pos, v_pos),
-        back,
-    )
+    return Tensor(out, (q_pos, k_neg, v_neg, q_neg, k_pos, v_pos), back)
 
 
 def finite_diff_check(

@@ -152,10 +152,10 @@ def cross_attention(
 ) -> Tensor:
     """Positive bank attends over the negative bank and vice versa, stacked
     as (2n, d) by one ``autodiff.paired_attention`` op, which works in row
-    tiles and leaves only a row max and a row sum per direction on the
-    tape.  In training, ``keep`` holds the two directions' packed dropout
-    masks (``autodiff.dropout_masks``, the positive-to-negative direction's
-    mask first); ``None`` drops nothing.  Given ``pool``, the
+    tiles and leaves only a log-sum-exp column per direction and the output
+    on the tape.  In training, ``keep`` holds the two directions' packed
+    dropout masks (``autodiff.dropout_masks``, the positive-to-negative
+    direction's mask first); ``None`` drops nothing.  Given ``pool``, the
     negative-to-positive direction runs on it."""
     return ad.paired_attention(
         ad.matmul(lp, leaves["attn_q_pos"]),
