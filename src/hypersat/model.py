@@ -13,7 +13,9 @@ runs the same conv stack on n merged nodes with a sigmoid head and no
 attention.
 
 Projections are applied on the right (Q = L @ W_Q etc.), keeping rows as
-tokens.  ReLU after conv layer 1, identity on the logit layer.
+tokens.  A convolution is S @ (L @ R): the projection first, so that the
+sparse product runs on the narrower side.  ReLU after conv layer 1,
+identity on the logit layer.
 
 A training forward pass takes the attention's dropout masks as an argument
 instead of drawing them: ``autodiff.dropout_masks`` makes them from a
@@ -134,8 +136,8 @@ def init_params(
 def conv_layer(
     s: NormalizedOperator, l: Tensor, r: Tensor, activation: str = "relu"
 ) -> Tensor:
-    """One hypergraph convolution: activation(S @ L @ R)."""
-    out = ad.matmul(ad.sparse_matmul(s.matrix, l), r)
+    """One hypergraph convolution: activation(S @ (L @ R))."""
+    out = ad.sparse_matmul(s.matrix, ad.matmul(l, r))
     if activation == "relu":
         return ad.relu(out)
     if activation == "identity":

@@ -6,12 +6,13 @@ The task loss is the relaxed weighted unsatisfaction
 
 which for binary y equals the exact unsatisfied weight, and for any y in
 [0, 1]^n the expected unsatisfied weight under independent Bernoulli(y)
-(tautologies are compiled out, see ``CompiledClauses``).  (Minimizing it
-maximizes the weighted satisfied sum; the constant total weight is
-dropped.)  ``loss_and_grad`` computes it and its gradient on plain arrays
-in one pass over the arity groups; ``task_loss`` is the tape op around it.
-The shared-representation loss ||L_pos + L_neg||_F^2 pushes complementary
-literal embeddings toward antisymmetry.
+(a tautology counts with weight 0, since no assignment leaves it
+unsatisfied).  (Minimizing it maximizes the weighted satisfied sum; the
+constant total weight is dropped.)  ``loss_and_grad`` computes it and its
+gradient on plain arrays in one pass over the instance's flat literal
+arrays; ``task_loss`` is the tape op around it.  The shared-representation
+loss ||L_pos + L_neg||_F^2 pushes complementary literal embeddings toward
+antisymmetry.
 """
 
 from __future__ import annotations
@@ -35,87 +36,55 @@ class LossBreakdown:
         return self.task + self.lam * self.shared
 
 
-@dataclass(frozen=True)
-class CompiledClauses:
-    """Clauses grouped by arity for vectorized products.
-
-    For each arity group: ``var_idx`` is (g, a) 0-based variable indices,
-    ``positive`` is the (g, a) polarity mask, ``weights`` is (g,).
-    ``variables`` is every group's ``var_idx`` flattened and concatenated,
-    the order in which the gradient is scattered.
-    Tautologies (x or not x) are left out: no assignment leaves them
-    unsatisfied, but their product (1 - y) * y is positive inside (0, 1).
-    """
-
-    num_vars: int
-    groups: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-    variables: np.ndarray
-
-
-def compile_clauses(instance: WcnfInstance) -> CompiledClauses:
-    arity = instance.arity
-    arity[instance.tautology] = 0
-    groups = []
-    for a in np.unique(arity[arity > 0]):
-        clauses = np.flatnonzero(arity == a)
-        lits = instance.start[clauses, None] + np.arange(a)
-        groups.append(
-            (
-                instance.var[lits],
-                instance.positive[lits],
-                instance.weight[clauses].astype(np.float64),
-            )
-        )
-    return CompiledClauses(
-        num_vars=instance.num_vars,
-        groups=tuple(groups),
-        variables=np.concatenate(
-            [np.zeros(0, dtype=np.intp)] + [g[0].reshape(-1) for g in groups]
-        ),
-    )
-
-
 def loss_and_grad(
-    compiled: CompiledClauses, y: np.ndarray
+    instance: WcnfInstance, y: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """The task loss of a probability vector and its gradient.
 
-    Per arity group, ``cumprod`` multiplies the clause factors left to
-    right into prefix products, as ``prod(axis=1)`` multiplies them, so a
-    clause's product is its last prefix times its last factor.  The
-    gradient of a factor is weight * prefix * suffix, exact even at 0/1,
-    and one ``bincount`` over all groups scatters it to the variables in
-    the order ``np.add.at`` would."""
+    Literal l is node ``var[l]`` if positive and ``n + var[l]`` if not, as
+    in the literal hypergraph, and its factor is that node's entry of
+    [1 - y, y].  Per clause, ``np.multiply.reduceat`` takes the product of
+    its nonzero factors and ``np.add.reduceat`` counts its zero factors; a
+    clause's value is w * product if it has no zero factor and 0
+    otherwise, with w = 0 for a tautology.  A literal's gradient is
+    w * product / f if its clause has no zero factor, w * product if the
+    literal is its clause's only zero, and 0 otherwise.  One ``bincount``
+    scatters them onto the 2n nodes, and a variable's gradient is its
+    negative node's less its positive node's.
+
+    Exact at binary y, where every factor and product is 0 or 1.
+    Elsewhere it agrees with prefix-times-suffix products to rounding,
+    unless a clause's product is subnormal (below 2^-1022, which takes
+    factors within about 1e-300 of 0): that clause's value then loses
+    precision only at an absolute scale of a * w * 2^-1075 (a its arity),
+    and a literal's gradient at a * w * 2^-1075 / f.  That is rounding at
+    the scale of w while f is normal; only a subnormal f gets its own
+    gradient wrong, an error that the softmax head's factor y(1 - y)
+    shrinks to subnormal size before it reaches a parameter."""
     y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if y.shape[0] != compiled.num_vars:
-        raise ValueError(
-            f"expected {compiled.num_vars} probabilities, got {y.shape[0]}"
-        )
-    loss = 0.0
-    dy_rows = []
-    for var_idx, positive, weights in compiled.groups:
-        vals = y[var_idx]
-        f = np.where(positive, 1.0 - vals, vals)  # (g, a)
-        prefix = np.ones_like(f)
-        suffix = np.ones_like(f)
-        np.cumprod(f[:, :-1], axis=1, out=prefix[:, 1:])
-        np.cumprod(f[:, :0:-1], axis=1, out=suffix[:, -2::-1])
-        loss += float(weights @ (prefix[:, -1] * f[:, -1]))
-        dfactor = weights[:, None] * prefix * suffix
-        dy_rows.append(np.where(positive, -dfactor, dfactor).reshape(-1))
-    if not dy_rows:  # every clause is a tautology
-        return loss, np.zeros(compiled.num_vars)
-    grad = np.bincount(
-        compiled.variables,
-        weights=np.concatenate(dy_rows),
-        minlength=compiled.num_vars,
-    )
-    return loss, grad
+    n = instance.num_vars
+    if y.shape[0] != n:
+        raise ValueError(f"expected {n} probabilities, got {y.shape[0]}")
+    starts, arity = instance.start[:-1], instance.arity
+    node = instance.var + n * ~instance.positive
+    f = np.concatenate((1.0 - y, y))[node]
+    zero = f == 0.0
+    f[zero] = 1.0
+    zeros = np.add.reduceat(zero, starts, dtype=np.intp)
+    weight = np.where(instance.tautology, 0.0, instance.weight)
+    scaled = weight * np.multiply.reduceat(f, starts)
+    loss = float(scaled @ (zeros == 0))
+    # literals whose clause has a zero factor other than their own get 0
+    dfactor = np.repeat(scaled, arity)
+    dfactor /= f
+    dfactor[np.repeat(zeros, arity) > zero] = 0.0
+    dnode = np.bincount(node, weights=dfactor, minlength=2 * n)
+    return loss, dnode[n:] - dnode[:n]
 
 
-def task_loss(compiled: CompiledClauses, y: ad.Tensor) -> ad.Tensor:
+def task_loss(instance: WcnfInstance, y: ad.Tensor) -> ad.Tensor:
     """The task loss of the network's (n, 1) probabilities, on the tape."""
-    value, gy = loss_and_grad(compiled, y.value)
+    value, gy = loss_and_grad(instance, y.value)
 
     def back(g):
         y._accumulate(float(g) * gy.reshape(y.value.shape))

@@ -123,14 +123,25 @@ def adam_step(
     learning_rate: float,
 ) -> None:
     """In-place bias-corrected Adam update of the parameter vector ``flat``
-    at step ``t``, with moment vectors ``m`` and ``v`` updated in place."""
+    at step ``t``, with moment vectors ``m`` and ``v`` updated in place.
+    The formula's operations run in its order on the same operands, so the
+    result is bit-identical to it, written into two work vectors (the last
+    division needs its numerator and denominator at once); ``grad`` is
+    only read."""
+    work = np.multiply(grad, 1 - ADAM_BETA1)
     m *= ADAM_BETA1
-    m += (1 - ADAM_BETA1) * grad
+    m += work
+    np.multiply(grad, 1 - ADAM_BETA2, out=work)
+    work *= grad
     v *= ADAM_BETA2
-    v += (1 - ADAM_BETA2) * grad * grad
-    mhat = m / (1 - ADAM_BETA1**t)
-    vhat = v / (1 - ADAM_BETA2**t)
-    flat -= learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
+    v += work
+    np.divide(v, 1 - ADAM_BETA2**t, out=work)
+    np.sqrt(work, out=work)
+    work += ADAM_EPS
+    step = np.divide(m, 1 - ADAM_BETA1**t)
+    step *= learning_rate
+    step /= work
+    flat -= step
 
 
 def _model_config(instance: WcnfInstance, config: SolveConfig) -> ModelConfig:
@@ -142,8 +153,8 @@ def _model_config(instance: WcnfInstance, config: SolveConfig) -> ModelConfig:
     )
 
 
-def _epoch_losses(ft, compiled, lam) -> tuple[ad.Tensor, LossBreakdown]:
-    task_t = objective.task_loss(compiled, ft.y)
+def _epoch_losses(ft, instance, lam) -> tuple[ad.Tensor, LossBreakdown]:
+    task_t = objective.task_loss(instance, ft.y)
     if lam > 0 and ft.penult_pos is not None:
         shared_t = objective.shared_loss(ft.penult_pos, ft.penult_neg)
         total_t = ad.add(task_t, ad.scale(shared_t, lam))
@@ -169,7 +180,6 @@ def train(instance: WcnfInstance, config: SolveConfig) -> tuple[
     s = normalized_operator(builder(instance))
     mconfig = _model_config(instance, config)
     flat, params = init_params(mconfig)
-    compiled = objective.compile_clauses(instance)
     m, v = np.zeros_like(flat), np.zeros_like(flat)
     trace: list[LossBreakdown] = []
     best = float("inf")
@@ -207,7 +217,7 @@ def train(instance: WcnfInstance, config: SolveConfig) -> tuple[
             ft = build_forward(
                 s, params, mconfig, training=True, dropout=masks, pool=pool
             )
-            total_t, breakdown = _epoch_losses(ft, compiled, config.lam)
+            total_t, breakdown = _epoch_losses(ft, instance, config.lam)
             if not np.isfinite(breakdown.total):
                 raise FloatingPointError(
                     f"non-finite loss at epoch {epoch}: {breakdown}"
@@ -232,7 +242,7 @@ def train(instance: WcnfInstance, config: SolveConfig) -> tuple[
         ft = total_t = masks = ahead = None
         np.copyto(flat, best_flat)  # the views in params now hold the best
         final = build_forward(s, params, mconfig, training=False, pool=pool)
-    _, final_breakdown = _epoch_losses(final, compiled, config.lam)
+    _, final_breakdown = _epoch_losses(final, instance, config.lam)
     y_final = final.y.value.reshape(-1).copy()
     return y_final, trace, epochs_run, final_breakdown
 
@@ -249,14 +259,13 @@ def gradient_errors(instance: WcnfInstance, seed: int) -> dict[str, float]:
     # One draw over the vector is the stream of one draw per parameter in
     # layout order.
     flat += 0.05 * make_rng(seed, 0x6D).standard_normal(flat.size)
-    compiled = objective.compile_clauses(instance)
     lam = SolveConfig().lam
 
     # finite_diff_check perturbs the views in place, so closing over the
     # full parameter dict keeps the forward pass consistent
     def forward():
         ft = build_forward(s, params, mconfig, training=False)
-        return ft, _epoch_losses(ft, compiled, lam)[0]
+        return ft, _epoch_losses(ft, instance, lam)[0]
 
     ft, loss = forward()
     ad.backward(loss)

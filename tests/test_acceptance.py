@@ -75,8 +75,7 @@ def test_2_binary_consistency():
         m = int(rng.integers(1, 4 * n))
         inst = make_instance(n, m, 2000 + i)
         bits = rng.integers(0, 2, size=n)
-        compiled = objective.compile_clauses(inst)
-        loss = objective.loss_and_grad(compiled, bits.astype(np.float64))[0]
+        loss = objective.loss_and_grad(inst, bits.astype(np.float64))[0]
         if loss != evaluate(inst, bits).unsat_weight:
             mismatches += 1
     report(

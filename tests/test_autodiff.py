@@ -131,7 +131,8 @@ def test_sparse_matmul_grad(seed):
 
     rng = make_rng(seed, 0xAE)
     dense = rng.standard_normal((4, 4)) * (rng.random((4, 4)) < 0.5)
-    s = sp.csr_matrix(dense)
+    # the op's contract: s is exactly symmetric, as the operator S is
+    s = sp.csr_matrix(dense + dense.T)
     check_unary(
         lambda l, s=s: ad.frobenius_sq(ad.sparse_matmul(s, l["x"])),
         {"x": (4, 3)},

@@ -20,7 +20,6 @@ from hypersat.model import (
     init_params,
     round_half_up,
 )
-from hypersat.objective import compile_clauses
 from hypersat.rng import derive_key, make_rng
 from hypersat.solver import _epoch_losses
 from hypersat.wcnf import assign_random_weights, generate_random_3sat
@@ -268,7 +267,7 @@ def test_small_models_pass_gradient_to_every_parameter(n):
         inst, s, config, params = rand_setup(n, round(4.3 * n), seed)
         masks = ad.dropout_masks(derive_key(seed, 0xD0, 1), n)
         ft = build_forward(s, params, config, training=True, dropout=masks)
-        ad.backward(_epoch_losses(ft, compile_clauses(inst), 2e-3)[0])
+        ad.backward(_epoch_losses(ft, inst, 2e-3)[0])
         assert len(ft.leaves) == 15
         zero = {name for name, t in ft.leaves.items() if not t.grad.any()}
         dead = zero if dead is None else dead & zero

@@ -9,7 +9,6 @@ from clause_lists import make_instance, random_3sat_clauses
 from hypersat import autodiff as ad
 from hypersat.objective import (
     LossBreakdown,
-    compile_clauses,
     loss_and_grad,
     shared_loss,
     task_loss,
@@ -41,7 +40,7 @@ def small_instances(draw):
 
 
 def loss_of(instance, y):
-    return loss_and_grad(compile_clauses(instance), y)[0]
+    return loss_and_grad(instance, y)[0]
 
 
 def naive_task_loss(clauses, y):
@@ -129,41 +128,41 @@ def test_affine_in_each_coordinate():
 @settings(max_examples=30, deadline=None)
 def test_gradient_matches_finite_differences(seed):
     inst = rand_instance(seed)
-    compiled = compile_clauses(inst)
     y = make_rng(seed, 0xC3).random(inst.num_vars)
-    grad = loss_and_grad(compiled, y)[1]
+    grad = loss_and_grad(inst, y)[1]
     step = 1e-6
     for i in range(inst.num_vars):
         yp, ym = y.copy(), y.copy()
         yp[i] += step
         ym[i] -= step
-        fd = (
-            loss_and_grad(compiled, yp)[0] - loss_and_grad(compiled, ym)[0]
-        ) / (2 * step)
+        fd = (loss_and_grad(inst, yp)[0] - loss_and_grad(inst, ym)[0]) / (
+            2 * step
+        )
         assert abs(fd - grad[i]) < 1e-6 * max(1.0, abs(grad[i]))
 
 
-def two_pass_loss_and_grad(compiled, y):
-    """The loss and gradient as separate passes, with ``prod`` for the value
-    and ``np.add.at`` for the scatter."""
-    loss, grad = 0.0, np.zeros(compiled.num_vars)
-    for var_idx, positive, weights in compiled.groups:
-        f = np.where(positive, 1.0 - y[var_idx], y[var_idx])
-        loss += float(weights @ f.prod(axis=1))
-        a = f.shape[1]
-        prefix, suffix = np.ones_like(f), np.ones_like(f)
-        for k in range(1, a):
-            prefix[:, k] = prefix[:, k - 1] * f[:, k - 1]
-            suffix[:, a - 1 - k] = suffix[:, a - k] * f[:, a - k]
-        dfactor = weights[:, None] * prefix * suffix
-        dy = np.where(positive, -dfactor, dfactor)
-        np.add.at(grad, var_idx.ravel(), dy.ravel())
+def prefix_suffix_loss_and_grad(instance, y):
+    """The loss and gradient clause by clause from the instance's arrays,
+    with no division: ``prod`` for a clause's value, and for each literal
+    w * prefix * suffix, the products of the factors before and after it,
+    scattered by ``np.add.at``.  Tautologies are skipped."""
+    loss, grad = 0.0, np.zeros(instance.num_vars)
+    for j in np.flatnonzero(~instance.tautology):
+        lits = slice(instance.start[j], instance.start[j + 1])
+        var, positive = instance.var[lits], instance.positive[lits]
+        f = np.where(positive, 1.0 - y[var], y[var])
+        weight = float(instance.weight[j])
+        loss += weight * f.prod()
+        prefix = np.concatenate([[1.0], np.cumprod(f[:-1])])
+        suffix = np.concatenate([np.cumprod(f[:0:-1])[::-1], [1.0]])
+        dfactor = weight * prefix * suffix
+        np.add.at(grad, var, np.where(positive, -dfactor, dfactor))
     return loss, grad
 
 
 @given(st.integers(0, 5_000))
 @settings(max_examples=30, deadline=None)
-def test_one_pass_matches_two_passes_bit_for_bit(seed):
+def test_segment_products_match_prefix_suffix_reference(seed):
     # clauses of arity 1-40 over 60 variables, weights up to 1000
     rng = make_rng(seed, 0xC6)
     clauses = []
@@ -173,36 +172,62 @@ def test_one_pass_matches_two_passes_bit_for_bit(seed):
         lits = vars_ * rng.choice([-1, 1], size=a)
         weight = int(rng.integers(1, 1001))
         clauses.append((lits.tolist(), weight))
-    compiled = compile_clauses(make_instance(60, clauses))
+    inst = make_instance(60, clauses)
     y = rng.random(60)
     y[rng.random(60) < 0.2] = 1.0
     y[rng.random(60) < 0.1] = 0.0
-    value, grad = loss_and_grad(compiled, y)
-    ref_value, ref_grad = two_pass_loss_and_grad(compiled, y)
-    assert value == ref_value
-    assert grad.tobytes() == ref_grad.tobytes()
+    value, grad = loss_and_grad(inst, y)
+    ref_value, ref_grad = prefix_suffix_loss_and_grad(inst, y)
+    assert value == pytest.approx(ref_value, rel=1e-12)
+    np.testing.assert_allclose(grad, ref_grad, rtol=1e-12)
+
+
+# probabilities that put factors exactly at 0 and 1, within 1e-300 of 0
+# and of 1 (1 - y rounds to 1), and anywhere in between; no subnormal y,
+# whose own literal's gradient loss_and_grad does not promise
+EDGE_PROBABILITIES = st.one_of(
+    st.sampled_from([0.0, 1.0]),
+    st.floats(np.finfo(np.float64).tiny, 1e-300),
+    st.floats(0.0, 1.0, allow_subnormal=False),
+)
+
+
+@given(small_instances(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_edge_factors_match_prefix_suffix_reference(inst, data):
+    # several zero factors in one clause, lone zeros, tautologies
+    n = inst.num_vars
+    y = np.array(
+        data.draw(st.lists(EDGE_PROBABILITIES, min_size=n, max_size=n))
+    )
+    value, grad = loss_and_grad(inst, y)
+    ref_value, ref_grad = prefix_suffix_loss_and_grad(inst, y)
+    # products that underflow are off at the scale of the weights times
+    # 2^-53 (loss_and_grad's docstring); nothing else may differ beyond
+    # rounding
+    atol = 1e-12 * inst.total_weight()
+    assert value == pytest.approx(ref_value, rel=1e-12, abs=atol)
+    np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=atol)
 
 
 def test_gradient_exact_at_binary_corners():
     # multilinearity means the analytic gradient is exact even at 0/1
     inst = rand_instance(23)
-    compiled = compile_clauses(inst)
     y = (make_rng(23, 0xC4).random(inst.num_vars) < 0.5).astype(np.float64)
-    grad = loss_and_grad(compiled, y)[1]
+    grad = loss_and_grad(inst, y)[1]
     for i in range(inst.num_vars):
         y0, y1 = y.copy(), y.copy()
         y0[i], y1[i] = 0.0, 1.0
-        slope = loss_and_grad(compiled, y1)[0] - loss_and_grad(compiled, y0)[0]
+        slope = loss_and_grad(inst, y1)[0] - loss_and_grad(inst, y0)[0]
         assert abs(slope - grad[i]) < 1e-12
 
 
 def test_tensor_path_matches_array_path_and_backprop():
     inst = rand_instance(31)
-    compiled = compile_clauses(inst)
     y = make_rng(31, 0xC5).random((inst.num_vars, 1))
     yt = ad.Tensor(y)
-    loss = task_loss(compiled, yt)
-    value, grad = loss_and_grad(compiled, y)
+    loss = task_loss(inst, yt)
+    value, grad = loss_and_grad(inst, y)
     assert float(loss.value) == value
     ad.backward(ad.scale(loss, 3.0))
     assert yt.grad.shape == y.shape
@@ -211,11 +236,10 @@ def test_tensor_path_matches_array_path_and_backprop():
 
 def test_task_loss_rejects_wrong_length():
     inst = rand_instance(1)
-    compiled = compile_clauses(inst)
     with pytest.raises(ValueError):
-        loss_and_grad(compiled, np.ones(inst.num_vars + 1))
+        loss_and_grad(inst, np.ones(inst.num_vars + 1))
     with pytest.raises(ValueError):
-        task_loss(compiled, ad.Tensor(np.ones((inst.num_vars - 1, 1))))
+        task_loss(inst, ad.Tensor(np.ones((inst.num_vars - 1, 1))))
 
 
 def test_shared_loss_values_and_gradient():
