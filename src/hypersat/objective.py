@@ -24,6 +24,8 @@ import numpy as np
 from . import autodiff as ad
 from .wcnf import WcnfInstance
 
+_TINY = np.finfo(np.float64).tiny  # the smallest normal float64
+
 
 @dataclass(frozen=True)
 class LossBreakdown:
@@ -44,8 +46,9 @@ def loss_and_grad(
     Literal l is node ``var[l]`` if positive and ``n + var[l]`` if not, as
     in the literal hypergraph, and its factor is that node's entry of
     [1 - y, y].  Per clause, ``np.multiply.reduceat`` takes the product of
-    its nonzero factors and ``np.add.reduceat`` counts its zero factors; a
-    clause's value is w * product if it has no zero factor and 0
+    its nonzero factors and ``np.add.reduceat`` counts its zero factors,
+    a factor below the smallest normal float64 (2^-1022) counting as
+    zero; a clause's value is w * product if it has no zero factor and 0
     otherwise, with w = 0 for a tautology.  A literal's gradient is
     w * product / f if its clause has no zero factor, w * product if the
     literal is its clause's only zero, and 0 otherwise.  One ``bincount``
@@ -54,13 +57,12 @@ def loss_and_grad(
 
     Exact at binary y, where every factor and product is 0 or 1.
     Elsewhere it agrees with prefix-times-suffix products to rounding,
-    unless a clause's product is subnormal (below 2^-1022, which takes
-    factors within about 1e-300 of 0): that clause's value then loses
-    precision only at an absolute scale of a * w * 2^-1075 (a its arity),
-    and a literal's gradient at a * w * 2^-1075 / f.  That is rounding at
-    the scale of w while f is normal; only a subnormal f gets its own
-    gradient wrong, an error that the softmax head's factor y(1 - y)
-    shrinks to subnormal size before it reaches a parameter."""
+    with two departures far below the scale of w.  A clause with a
+    subnormal factor has value 0, not at most w * 2^-1022.  A clause
+    whose product of normal factors is subnormal (which takes factors
+    within about 1e-300 of 0) loses precision at an absolute scale of
+    a * w * 2^-1075 (a its arity) in its value and a * w * 2^-1075 / f in
+    a literal's gradient, at most a * w * 2^-53 since f is normal."""
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     n = instance.num_vars
     if y.shape[0] != n:
@@ -68,7 +70,9 @@ def loss_and_grad(
     starts, arity = instance.start[:-1], instance.arity
     node = instance.var + n * ~instance.positive
     f = np.concatenate((1.0 - y, y))[node]
-    zero = f == 0.0
+    # a subnormal factor would round its clause's other factors away in
+    # the product before the division by it
+    zero = np.abs(f) < _TINY
     f[zero] = 1.0
     zeros = np.add.reduceat(zero, starts, dtype=np.intp)
     weight = np.where(instance.tautology, 0.0, instance.weight)

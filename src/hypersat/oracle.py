@@ -8,16 +8,19 @@ clause with probability proportional to its weight, then with noise 0.5
 flip a random variable of it, otherwise the variable minimizing the
 resulting unsatisfied weight; the best assignment seen is tracked.
 
-A step costs O(unsatisfied clauses + occurrences of the flipped variable)
-and draws the clause that ``rng.choice(m, p=w * unsat / unsat_w)`` would.
-That call builds ``cdf = p.cumsum(); cdf /= cdf[-1]`` and returns
-``cdf.searchsorted(rng.random(), side="right")``.  A satisfied clause adds
-an exact 0.0 to the cumsum, so it cannot be the first entry above the
-draw, and skipping it leaves every other cdf value unchanged.  The
-unsatisfied weight is an exact int below 2^53, so dividing by the tracked
-Python int gives the same floats as dividing by ``p``'s int64 sum.  The
+The walk keeps each clause's unsatisfied weight (0 if satisfied) in a
+Fenwick (binary indexed) tree of Python ints.  A step costs O(log m) for
+the draw and for each clause the flip breaks or mends, plus the
+occurrences of the clause's variables, and calls nothing of numpy but the
+generator's draws.  The draw is the exact inverse CDF: with ``u = rng.random()``, a multiple of
+2^-53, it takes the first clause in index order whose int prefix sum of
+unsatisfied weight exceeds u * unsat_w.  ``rng.choice(m, p=w * unsat /
+unsat_w)`` approximates that with a float cdf, ``cdf = p.cumsum(); cdf /=
+cdf[-1]`` and ``cdf.searchsorted(u, side="right")``, so the two draw the
+same clause unless u lands within float rounding of a cdf step.  The
 walk reads and writes Python lists (``WcnfInstance.occurrence_lists``,
-built once per instance), not numpy scalars.
+built once per instance, and the tree, built once per walk), not numpy
+scalars.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .wcnf import WcnfInstance, evaluate
 
 MAX_EXHAUSTIVE_VARS = 26
 _CHUNK_CELLS = 1 << 22  # assignments x literals per evaluated chunk
+_UNIT = 1 << 53  # rng.random() draws multiples of 1 / _UNIT
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,57 @@ def exhaustive_optimum(instance: WcnfInstance) -> OracleResult:
     return OracleResult(best_w, assignment, total)
 
 
+def _fenwick(values: np.ndarray) -> list[int]:
+    """Fenwick (binary indexed) tree of nonnegative int64 values, whose
+    sum is below 2^53.  It has size slots, size the least power of two
+    not below ``len(values)``: slot 0 holds 0 and slot i sums
+    ``values[i - (i & -i):i]``, counting the values past the last as 0.
+    The slot of the whole sum, size, is left out (the walk keeps that
+    total itself), and a descent from size / 2 needs no bound check."""
+    size = 1 << (len(values) - 1).bit_length()
+    prefix = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(values, out=prefix[1 : len(values) + 1])
+    prefix[len(values) + 1 :] = prefix[len(values)]
+    i = np.arange(size)
+    return (prefix[i] - prefix[i - (i & -i)]).tolist()
+
+
+def _draw(tree: list[int], total: int, u: float) -> int:
+    """The first index j with ``values[0] + ... + values[j] > u * total``
+    for the tree's values, u in [0, 1) and total the values' sum.
+
+    ``rng.random()`` returns a multiple of 2^-53, so ``k = u * 2^53`` is
+    an exact int and ``k * total // 2^53`` is floor(u * total); an int
+    prefix sum exceeds that floor just when it exceeds u * total."""
+    target = int(u * _UNIT) * total // _UNIT
+    pos = 0
+    step = len(tree) >> 1
+    while step:
+        if tree[pos + step] <= target:
+            pos += step
+            target -= tree[pos]
+        step >>= 1
+    return pos
+
+
+def _walk_state(
+    instance: WcnfInstance, assignment: np.ndarray
+) -> tuple[list[int], list[int], list[int], int]:
+    """The walk's state at an assignment, as the Python lists it reads and
+    writes one item at a time: the assignment, each clause's count of true
+    literals, the Fenwick tree of each clause's unsatisfied weight (0 if
+    satisfied), and the total unsatisfied weight."""
+    true_count = np.add.reduceat(
+        (assignment[instance.var] == instance.positive).astype(np.int64),
+        instance.start[:-1],
+    )
+    unsat = np.where(true_count == 0, instance.weight, 0)
+    return (
+        assignment.tolist(), true_count.tolist(), _fenwick(unsat),
+        int(unsat.sum()),
+    )
+
+
 def local_search(
     instance: WcnfInstance,
     max_steps: int,
@@ -76,51 +131,54 @@ def local_search(
     """
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
+    if not 0.0 <= noise <= 1.0:  # False for NaN too
+        raise ValueError(f"noise must be in [0, 1], got {noise}")
     n = instance.num_vars
     rng = make_rng(seed, 0x15)
     initial = rng.integers(0, 2, size=n).astype(np.int8)
 
     occ = instance.occurrence_lists
     occurs, clause_vars, weights = occ.occurs, occ.clause_vars, occ.weight
-    true_count = np.add.reduceat(
-        (initial[instance.var] == instance.positive).astype(np.int64),
-        instance.start[:-1],
-    )
-    unsat_mask = true_count == 0
-    unsat_w = int(instance.weight[unsat_mask].sum())
+    assignment, true_count, tree, unsat_w = _walk_state(instance, initial)
     best_w = unsat_w
-    # plain Python lists: the walk reads and writes them one item at a time
-    true_count = true_count.tolist()
-    assignment = initial.tolist()
+    size = len(tree)
     flips: list[int] = []
     best_flips = 0  # the best assignment is initial after flips[:best_flips]
 
     def flip_delta(var: int) -> int:
         value = assignment[var]
         delta = 0
-        for j, pol in occurs[var]:
-            if value == pol:
-                if true_count[j] == 1:
-                    delta += weights[j]  # clause breaks
-            elif true_count[j] == 0:
+        for j in occurs[var][value]:  # true now
+            if true_count[j] == 1:
+                delta += weights[j]  # clause breaks
+        for j in occurs[var][1 - value]:  # false now
+            if true_count[j] == 0:
                 delta -= weights[j]  # clause becomes satisfied
         return delta
 
     def do_flip(var: int) -> None:
         nonlocal unsat_w
         value = assignment[var]
-        for j, pol in occurs[var]:
+        for j in occurs[var][value]:  # true now
+            count = true_count[j] - 1
+            true_count[j] = count
+            if count == 0:  # breaks: add its weight along the tree
+                w = weights[j]
+                unsat_w += w
+                i = j + 1
+                while i < size:
+                    tree[i] += w
+                    i += i & -i
+        for j in occurs[var][1 - value]:  # false now
             count = true_count[j]
-            if value == pol:
-                true_count[j] = count - 1
-                if count == 1:
-                    unsat_w += weights[j]
-                    unsat_mask[j] = True
-            else:
-                if count == 0:
-                    unsat_w -= weights[j]
-                    unsat_mask[j] = False
-                true_count[j] = count + 1
+            if count == 0:  # becomes satisfied
+                w = weights[j]
+                unsat_w -= w
+                i = j + 1
+                while i < size:
+                    tree[i] -= w
+                    i += i & -i
+            true_count[j] = count + 1
         assignment[var] = 1 - value
         flips.append(var)
 
@@ -128,12 +186,7 @@ def local_search(
     for step in range(max_steps):
         if unsat_w == 0:
             break
-        # rng.choice(m, p=w * unsat / unsat_w) bit for bit, over the
-        # unsatisfied clauses only (see the module docstring)
-        idx = unsat_mask.nonzero()[0]
-        cdf = (instance.weight[idx] / unsat_w).cumsum()
-        cdf /= cdf[-1]
-        j = int(idx[cdf.searchsorted(rng.random(), side="right")])
+        j = _draw(tree, unsat_w, rng.random())
         vars_ = clause_vars[j]
         if rng.random() < noise:
             var = vars_[int(rng.integers(len(vars_)))]

@@ -12,7 +12,8 @@ An instance is its clauses, stored once as flat read-only literal arrays
 that the constructor checks and in which it marks the tautologies; the
 evaluator, the loss, the hypergraph and both oracles all read them.  The
 local search also reads ``OccurrenceLists``, the same clauses as Python
-lists, derived once per instance.
+lists, each variable's clauses split by the polarity it has in them,
+derived once per instance.
 """
 
 from __future__ import annotations
@@ -46,14 +47,15 @@ MAX_VARS = 2**31 - 1
 class OccurrenceLists:
     """The clauses as Python lists, for a walk that reads one item at a time.
 
-    ``occurs[v]`` lists ``(clause, polarity)`` for each literal of variable
-    v (0-based) in clause order, polarity 1 for ``+v`` and 0 for ``-v``,
-    leaving out tautologies, which no flip can break or mend;
+    ``occurs[v][p]`` lists, in clause order, the clauses where variable v
+    (0-based) occurs with polarity p, 1 for ``+v`` and 0 for ``-v``, so
+    under an assignment with v = p they are the clauses whose literal of v
+    is true.  Tautologies are left out: no flip can break or mend them.
     ``clause_vars[j]`` lists the variables of clause j in literal order.
     They are derived from an instance's arrays, which cannot change.
     """
 
-    occurs: list[list[tuple[int, int]]]
+    occurs: list[tuple[list[int], list[int]]]
     clause_vars: list[list[int]]
     weight: list[int]
 
@@ -147,14 +149,15 @@ class WcnfInstance:
         """The clauses as lists, built on first use."""
         var, clause_of = self.var, self.clause_of
         kept = np.flatnonzero(~self.tautology[clause_of])
-        order = kept[np.argsort(var[kept], kind="stable")]
-        polarity = self.positive[order].astype(int)
-        pairs = list(zip(clause_of[order].tolist(), polarity.tolist()))
-        counts = np.bincount(var[kept], minlength=self.num_vars)
+        # 2v + p sorts the literals by variable v, then by polarity p
+        key = 2 * var[kept] + self.positive[kept]
+        clauses = clause_of[kept[np.argsort(key, kind="stable")]].tolist()
+        counts = np.bincount(key, minlength=2 * self.num_vars)
         bounds = [0] + np.cumsum(counts).tolist()
+        lists = [clauses[a:b] for a, b in zip(bounds, bounds[1:])]
         lit_var, starts = var.tolist(), self.start.tolist()
         return OccurrenceLists(
-            occurs=[pairs[a:b] for a, b in zip(bounds, bounds[1:])],
+            occurs=list(zip(lists[::2], lists[1::2])),
             clause_vars=[lit_var[a:b] for a, b in zip(starts, starts[1:])],
             weight=self.weight.tolist(),
         )

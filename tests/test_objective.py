@@ -182,11 +182,11 @@ def test_segment_products_match_prefix_suffix_reference(seed):
     np.testing.assert_allclose(grad, ref_grad, rtol=1e-12)
 
 
-# probabilities that put factors exactly at 0 and 1, within 1e-300 of 0
-# and of 1 (1 - y rounds to 1), and anywhere in between; no subnormal y,
-# whose own literal's gradient loss_and_grad does not promise
+# probabilities that put factors exactly at 0 and 1, subnormal or within
+# 1e-300 of 0 and of 1 (1 - y rounds to 1), and anywhere in between
 EDGE_PROBABILITIES = st.one_of(
     st.sampled_from([0.0, 1.0]),
+    st.floats(5e-324, np.finfo(np.float64).tiny, exclude_max=True),
     st.floats(np.finfo(np.float64).tiny, 1e-300),
     st.floats(0.0, 1.0, allow_subnormal=False),
 )

@@ -3,10 +3,12 @@ stochastic local search."""
 
 import dataclasses
 import hashlib
+import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clause_lists import make_instance, random_3sat_clauses
@@ -150,6 +152,13 @@ def test_local_search_rejects_negative_steps():
     inst = rand_instance(1)
     with pytest.raises(ValueError):
         local_search(inst, max_steps=-1, seed=0)
+
+
+@pytest.mark.parametrize("noise", [float("nan"), -0.1, 1.5, float("inf")])
+def test_local_search_rejects_noise_outside_the_unit_interval(noise):
+    # a NaN noise would make every coin come up greedy
+    with pytest.raises(ValueError, match="noise"):
+        local_search(rand_instance(1), max_steps=10, seed=0, noise=noise)
 
 
 def test_local_search_checks_its_result(monkeypatch):
@@ -341,3 +350,72 @@ def test_occurrence_lists_built_once_per_instance():
     built = vars(inst)["occurrence_lists"]
     local_search(inst, max_steps=100, seed=2)
     assert vars(inst)["occurrence_lists"] is built
+
+
+@st.composite
+def draws(draw):
+    """(weights, k): clause weights up to 2^40, zeros for satisfied clauses,
+    and k = u * 2^53 for a draw u of rng.random().  Half the weight lists
+    are padded to a power-of-two total, on which u * total lands exactly
+    on a prefix sum when k is drawn just at one."""
+    weights = draw(
+        st.lists(st.one_of(st.just(0), st.integers(1, 2**40)), min_size=1, max_size=40)
+        .filter(any)
+    )
+    if draw(st.booleans()):
+        weights.append((1 << (sum(weights) - 1).bit_length()) - sum(weights))
+    total = sum(weights)
+    prefixes = [p for p in (0, *itertools.accumulate(weights)) if p < total]
+    at_prefix = st.sampled_from(prefixes).map(lambda p: -(-(p << 53) // total))
+    return weights, draw(st.one_of(st.integers(0, 2**53 - 1), at_prefix))
+
+
+@given(draws())
+@example(([1, 0, 3, 4], 2**50))  # u * total = 1, the first two prefix sums
+@settings(max_examples=500, deadline=None)
+def test_draw_is_the_exact_inverse_cdf(drawn):
+    # the first clause whose prefix sum exceeds u * total (searchsorted's
+    # side="right"), in exact rationals
+    weights, k = drawn
+    total = sum(weights)
+    u = k / 2**53
+    assert Fraction(u) == Fraction(k, 2**53)
+    expected = next(
+        j
+        for j, prefix in enumerate(itertools.accumulate(weights))
+        if prefix > Fraction(u) * total
+    )
+    tree = oracle._fenwick(np.array(weights, dtype=np.int64))
+    assert oracle._draw(tree, total, u) == expected
+    assert weights[expected] > 0
+
+
+@given(
+    walk_instances(),
+    st.integers(0, 300),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 0.5, 1.0]),
+)
+@settings(max_examples=100, deadline=None)
+def test_walk_state_equals_one_rebuilt_from_its_assignment(
+    instance, max_steps, seed, noise
+):
+    # the walk updates its counts and its tree in place; after it they must
+    # equal those built afresh from where it stopped (a tautology's count
+    # is left as it was: no flip can break or mend it)
+    states = []
+    build = oracle._walk_state
+
+    def recorded(inst, assignment):
+        states.append(build(inst, assignment))
+        return states[-1]
+
+    inst = make_instance(*instance)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_walk_state", recorded)
+        local_search(inst, max_steps=max_steps, seed=seed, noise=noise)
+    assignment, true_count, tree, _ = states[0]
+    rebuilt = build(inst, np.array(assignment, dtype=np.int8))
+    kept = ~inst.tautology
+    assert np.array_equal(np.array(rebuilt[1])[kept], np.array(true_count)[kept])
+    assert rebuilt[2] == tree

@@ -181,12 +181,13 @@ def test_occurrence_lists_mirror_the_clauses():
     # variable 4 occurs nowhere, so only n tells the walk it exists
     inst = make_instance(4, [((1, -2), 3), ((-1, 2, 3), 5), ((2, -2), 7)])
     occ = inst.occurrence_lists
-    # clause 2 is a tautology, which no flip can break or mend
+    # clause 2 is a tautology, which no flip can break or mend; each
+    # variable's clauses of -v, then of +v
     assert occ.occurs == [
-        [(0, 1), (1, 0)],
-        [(0, 0), (1, 1)],
-        [(1, 1)],
-        [],
+        ([1], [0]),
+        ([0], [1]),
+        ([], [1]),
+        ([], []),
     ]
     assert inst.tautology.tolist() == [False, False, True]
     assert occ.clause_vars == [[0, 1], [0, 1, 2], [1, 1]]
