@@ -2,13 +2,19 @@
 
 A ``Tensor`` wraps a numpy array and remembers how it was produced; calling
 ``backward`` on a scalar result walks the graph in reverse topological
-order and accumulates adjoints into every reachable leaf.  The op set is
-exactly what the solver network needs (matmul, sparse_matmul, add, scale,
-split_rows, reshape_pairs, row_softmax, relu, sigmoid, layer_norm,
-frobenius_sq, and ``paired_attention``); everything is checked against
-central finite differences in the tests.  ``sparse_matmul`` takes an
-exactly symmetric matrix, as the hypergraph operator is, and its backward
-needs no transpose.
+order and accumulates adjoints into every reachable leaf.  The ops are the
+solver network's layers, each one tape node with a hand-written backward:
+``conv`` (a hypergraph convolution), ``layer_norm``, ``paired_attention``
+(both attention directions with their six projections), ``ffn``,
+``pair_softmax`` (the literal head) and ``sigmoid`` (the variable-mode
+head); ``add`` joins two tape values, in the residual and in the total
+loss, and ``scale`` weighs the shared loss.  Each backward adds its
+gradient terms in the order of the chain of elementary ops (products,
+ReLU, row splits) that the layer stands for, so its results are that
+chain's, bit for bit.  Everything is checked against central finite
+differences in the tests.  ``conv`` takes an exactly symmetric sparse
+matrix, as the hypergraph operator is, and its backward needs no
+transpose.
 
 ``paired_attention`` computes both cross-attention directions in one op,
 one row tile of about ``TILE_CELLS`` score cells at a time, and never holds
@@ -102,27 +108,6 @@ def backward(loss: Tensor) -> None:
             node._backward(node.grad)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.value.shape[1] != b.value.shape[0]:
-        raise ValueError(f"matmul: {a.shape} @ {b.shape}")
-
-    def back(g):
-        a._accumulate(g @ b.value.T)
-        b._accumulate(a.value.T @ g)
-
-    return Tensor(a.value @ b.value, (a, b), back)
-
-
-def sparse_matmul(s, x: Tensor) -> Tensor:
-    """Product with a constant (non-learnable) sparse matrix that must be
-    exactly symmetric, as the operator S is: backward takes ``s @ g``."""
-
-    def back(g):
-        x._accumulate(s @ g)
-
-    return Tensor(s @ x.value, (x,), back)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.value.shape != b.value.shape:
         raise ValueError(f"add: shape mismatch {a.shape} vs {b.shape}")
@@ -141,60 +126,41 @@ def scale(a: Tensor, c: float) -> Tensor:
     return Tensor(c * a.value, (a,), back)
 
 
-def split_rows(a: Tensor, k: int) -> tuple[Tensor, Tensor]:
-    """Split into the first k rows and the rest."""
-    if not 0 < k < a.value.shape[0]:
-        raise ValueError(f"split_rows: k={k} out of range for {a.shape}")
-
-    def back_top(g):
-        full = np.zeros_like(a.value)
-        full[:k] = g
-        a._accumulate(full)
-
-    def back_bot(g):
-        full = np.zeros_like(a.value)
-        full[k:] = g
-        a._accumulate(full)
-
-    top = Tensor(a.value[:k].copy(), (a,), back_top)
-    bot = Tensor(a.value[k:].copy(), (a,), back_bot)
-    return top, bot
-
-
-def reshape_pairs(v: Tensor, n: int) -> Tensor:
-    """2n x 1 column into n x 2: row i = [v[i], v[n+i]]."""
-    if v.value.shape != (2 * n, 1):
-        raise ValueError(f"reshape_pairs expects (2n,1)={2*n},1, got {v.shape}")
+def conv(s, l: Tensor, r: Tensor, relu: bool) -> Tensor:
+    """One hypergraph convolution, ``relu(S @ (L @ R))`` or with ``relu``
+    false ``S @ (L @ R)``: the projection first, so that the sparse product
+    runs on the narrower side.  ``s`` is a constant sparse matrix that must
+    be exactly symmetric, as the operator S is: backward multiplies by it
+    again instead of by its transpose."""
+    out = s @ (l.value @ r.value)
+    mask = None
+    if relu:
+        mask = out > 0
+        out = np.where(mask, out, 0.0)
 
     def back(g):
-        full = np.empty((2 * n, 1))
-        full[:n, 0] = g[:, 0]
-        full[n:, 0] = g[:, 1]
-        v._accumulate(full)
+        if mask is not None:
+            g = g * mask
+        g = s @ g
+        l._accumulate(g @ r.value.T)
+        r._accumulate(l.value.T @ g)
 
-    out = np.column_stack([v.value[:n, 0], v.value[n:, 0]])
-    return Tensor(out, (v,), back)
-
-
-def row_softmax(a: Tensor) -> Tensor:
-    z = a.value - a.value.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
-
-    def back(g):
-        dot = (g * p).sum(axis=1, keepdims=True)
-        a._accumulate(p * (g - dot))
-
-    return Tensor(p, (a,), back)
+    return Tensor(out, (l, r), back)
 
 
-def relu(a: Tensor) -> Tensor:
-    mask = a.value > 0
+def ffn(x: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
+    """The feed-forward layer ``relu(x @ w1) @ w2``."""
+    hidden = x.value @ w1.value
+    mask = hidden > 0
+    hidden = np.where(mask, hidden, 0.0)
 
     def back(g):
-        a._accumulate(g * mask)
+        w2._accumulate(hidden.T @ g)
+        gh = (g @ w2.value.T) * mask
+        x._accumulate(gh @ w1.value.T)
+        w1._accumulate(x.value.T @ gh)
 
-    return Tensor(np.where(mask, a.value, 0.0), (a,), back)
+    return Tensor(hidden @ w2.value, (x, w1, w2), back)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -232,11 +198,21 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return Tensor(gain.value * xhat + bias.value, (a, gain, bias), back)
 
 
-def frobenius_sq(a: Tensor) -> Tensor:
-    def back(g):
-        a._accumulate(2.0 * float(g) * a.value)
+def pair_softmax(logits: Tensor) -> Tensor:
+    """The literal head: the 2n x 1 logits paired as row i =
+    [logits[i], logits[n + i]], a softmax over each pair, and its first
+    column as the (n, 1) probabilities P(x_i = true)."""
+    pairs = logits.value.reshape(2, -1).T
+    e = np.exp(pairs - pairs.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
 
-    return Tensor(np.array((a.value**2).sum()), (a,), back)
+    def back(g):
+        full = np.zeros_like(p)
+        full[:, :1] = g
+        dot = (full * p).sum(axis=1, keepdims=True)
+        logits._accumulate((p * (full - dot)).T.reshape(-1, 1))
+
+    return Tensor(p[:, :1], (logits,), back)
 
 
 def _row_tiles(rows: int, cols: int, cells: int):
@@ -388,19 +364,23 @@ def dropout_masks(key: int, n: int, pool=None) -> tuple[np.ndarray, np.ndarray]:
 
 
 def paired_attention(
-    q_pos: Tensor, k_neg: Tensor, v_neg: Tensor,
-    q_neg: Tensor, k_pos: Tensor, v_pos: Tensor,
+    x: Tensor, weights: tuple[Tensor, ...],
     keep: tuple[np.ndarray, np.ndarray] | None, pool=None,
 ) -> Tensor:
-    """Both cross-attention directions, stacked by rows: each is
-    ``dropout(row_softmax(q @ k.T / sqrt(d))) @ v``, with d the width of
-    ``q_pos``, for (q_pos, k_neg, v_neg), then for (q_neg, k_pos, v_pos).
-    The result agrees to rounding with that chain of ops followed by
-    stacking the two: the softmax is normalized on the n x d output
-    instead of on the scores, and the k and v gradients sum over row tiles
-    of ``TILE_CELLS``.  The tape keeps one log-sum-exp column per direction
-    besides ``keep`` and the output; backward recomputes the probabilities
-    tile by tile.
+    """Both cross-attention directions of the 2n-row bank ``x``, stacked by
+    rows.  ``weights`` are the six projections (q_pos, k_neg, v_neg, q_neg,
+    k_pos, v_pos): the positive rows ``x[:n]`` times the ``_pos`` ones and
+    the negative rows ``x[n:]`` times the ``_neg`` ones give q, k and v.
+    Each direction is ``dropout(softmax(q @ k.T / sqrt(d))) @ v``, with d
+    the width of the q projections, for (q_pos, k_neg, v_neg), then for
+    (q_neg, k_pos, v_pos).  The result agrees to rounding with that chain
+    of ops followed by stacking the two: the softmax is normalized on the
+    n x d output instead of on the scores, and the k and v gradients sum
+    over row tiles of ``TILE_CELLS``.  Backward keeps the projections, one
+    log-sum-exp column per direction, ``keep`` and the output, and
+    recomputes the probabilities tile by tile.  It adds x's gradient up in
+    the chain's order: per bank, the q, k and v terms of the positive rows
+    and the k, v and q terms of the negative ones.
 
     Inverted dropout at ``ATTENTION_DROPOUT``: ``keep`` is the pair of
     packed masks that ``dropout_masks`` draws, and survivors are scaled by
@@ -409,24 +389,28 @@ def paired_attention(
     expected factor is 1; ``None`` (inference) drops nothing.  Each tile
     unpacks its rows of the mask when it needs them.
 
-    From ``LARGE_CELLS`` score cells in the first direction, forward and
-    backward each cast q, k, v (and backward the incoming gradient) to
-    float32 once, and the tiles and the saved log-sum-exp columns are
-    float32; the output, the gradients and their sums over tiles are
+    From ``LARGE_CELLS`` score cells per direction, forward and backward
+    each cast q, k, v (and backward the incoming gradient) to float32
+    once, and the tiles and the saved log-sum-exp columns are float32; the
+    projections, the output, the gradients and their sums over tiles are
     float64.  Below it, all is float64.
 
     Given ``pool``, the second direction's forward and backward run on it
     while the first runs on the caller's thread; numpy releases the GIL for
     BLAS and ufuncs.
     """
-    single = _single(len(q_pos.value) * len(k_neg.value))
+    n = len(x.value) // 2
+    banks = (x.value[:n], x.value[n:])
+    # the bank each projection reads, in the order of ``weights``
+    sides = (0, 1, 1, 1, 0, 0)
+    proj = [banks[side] @ w.value for side, w in zip(sides, weights)]
+    single = _single(n * n)
     dtype = np.float32 if single else np.float64
-    directions = ((q_pos, k_neg, v_neg), (q_neg, k_pos, v_pos))
 
     def cast():
-        # backward casts again, so the tape keeps no float32 copies
-        return [tuple(t.value.astype(dtype, copy=False) for t in d)
-                for d in directions]
+        # backward casts again, so the closure keeps no float32 copies
+        cells = [p.astype(dtype, copy=False) for p in proj]
+        return cells[:3], cells[3:]
 
     first, second = cast()
     inv = 1.0 / (1.0 - ATTENTION_DROPOUT)
@@ -434,19 +418,16 @@ def paired_attention(
         inv = 2**16 / (2**16 - _half_threshold())
     if keep is None:
         keep, inv = (None, None), 1.0
-    for (q, k, _), mask in zip((first, second), keep):
-        if mask is not None and mask.shape != (len(q), -(-len(k) // 8)):
-            raise ValueError(
-                f"keep mask {mask.shape} does not pack {len(q)} x {len(k)}"
-            )
-    scale = 1.0 / math.sqrt(q_pos.value.shape[1])
-    split = len(q_pos.value)
-    out = np.empty((split + len(q_neg.value), v_neg.value.shape[1]))
+    for mask in keep:
+        if mask is not None and mask.shape != (n, -(-n // 8)):
+            raise ValueError(f"keep mask {mask.shape} does not pack {n} x {n}")
+    scale = 1.0 / math.sqrt(proj[0].shape[1])
+    out = np.empty((2 * n, proj[2].shape[1]))
     lse = _pair(
         pool,
         _attend,
-        (*first, scale, inv, keep[0], out[:split]),
-        (*second, scale, inv, keep[1], out[split:]),
+        (*first, scale, inv, keep[0], out[:n]),
+        (*second, scale, inv, keep[1], out[n:]),
     )
 
     def back(g):
@@ -456,16 +437,18 @@ def paired_attention(
         grads = _pair(
             pool,
             _attend_back,
-            (g[:split], *first, scale, inv, keep[0], lse[0], c[:split]),
-            (g[split:], *second, scale, inv, keep[1], lse[1], c[split:]),
+            (g[:n], *first, scale, inv, keep[0], lse[0], c[:n]),
+            (g[n:], *second, scale, inv, keep[1], lse[1], c[n:]),
         )
-        for (q, k, v), (dq, dk, dv) in zip(directions, grads):
-            v._accumulate(dv)
-            q._accumulate(dq)
-            k._accumulate(dk)
+        dqp, dkn, dvn, dqn, dkp, dvp = dproj = (*grads[0], *grads[1])
+        wqp, wkn, wvn, wqn, wkp, wvp = (w.value for w in weights)
+        gxp = dqp @ wqp.T + dkp @ wkp.T + dvp @ wvp.T
+        gxn = dkn @ wkn.T + dvn @ wvn.T + dqn @ wqn.T
+        x._accumulate(np.concatenate((gxp, gxn)))
+        for side, w, d in zip(sides, weights, dproj):
+            w._accumulate(banks[side].T @ d)
 
-    # parents in this order keep the chain's gradient accumulation order
-    return Tensor(out, (q_pos, k_neg, v_neg, q_neg, k_pos, v_pos), back)
+    return Tensor(out, (x, *weights), back)
 
 
 def finite_diff_check(

@@ -76,6 +76,9 @@ def _expand_inputs(patterns: list[str]) -> list[str]:
 
 
 def cmd_gen(args) -> int:
+    if args.count < 1:
+        print(f"error: --count must be >= 1, got {args.count}", file=sys.stderr)
+        return 1
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i in range(args.count):

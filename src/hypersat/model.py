@@ -6,9 +6,13 @@ each one as a named view into it, in sorted-name order, so the optimizer
 and the best-epoch snapshot work on the vector while the layers read
 named arrays.
 
+Each layer is one ``autodiff`` tape node with its own backward: conv,
+LayerNorm, paired attention with its projections, FFN, and the head;
+only the residual joins two of them with ``add``.
+
 Literal mode: nodes 0..n-1 are positive literals, n..2n-1 negative.  The
-final 2n x 1 logits are reshaped so row i pairs x_i with its negation, and
-the softmax's first column is P(x_i = true).  Variable mode (ablation)
+pair-softmax head pairs the final logit of x_i with that of its negation,
+and the softmax's first column is P(x_i = true).  Variable mode (ablation)
 runs the same conv stack on n merged nodes with a sigmoid head and no
 attention.
 
@@ -82,8 +86,7 @@ class ForwardTensors:
 
     leaves: dict[str, Tensor]
     y: Tensor  # (n, 1) probabilities
-    penult_pos: Tensor | None = None
-    penult_neg: Tensor | None = None
+    penult: Tensor | None = None  # (2n, d) literal banks before the head
 
 
 def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
@@ -134,69 +137,46 @@ def init_params(
 
 
 def conv_layer(
-    s: NormalizedOperator, l: Tensor, r: Tensor, activation: str = "relu"
+    s: NormalizedOperator, l: Tensor, r: Tensor, relu: bool
 ) -> Tensor:
-    """One hypergraph convolution: activation(S @ (L @ R))."""
-    out = ad.sparse_matmul(s.matrix, ad.matmul(l, r))
-    if activation == "relu":
-        return ad.relu(out)
-    if activation == "identity":
-        return out
-    raise ValueError(f"unknown activation {activation!r}")
+    """One hypergraph convolution: relu(S @ (L @ R)), or without the ReLU
+    on the logit layer."""
+    return ad.conv(s.matrix, l, r, relu)
 
 
 def cross_attention(
-    lp: Tensor,
-    ln: Tensor,
+    x: Tensor,
     leaves: dict[str, Tensor],
     keep: tuple[np.ndarray, np.ndarray] | None = None,
     pool=None,
 ) -> Tensor:
-    """Positive bank attends over the negative bank and vice versa, stacked
-    as (2n, d) by one ``autodiff.paired_attention`` op, which works in row
-    tiles and leaves only a log-sum-exp column per direction and the output
-    on the tape.  In training, ``keep`` holds the two directions' packed
-    dropout masks (``autodiff.dropout_masks``, the positive-to-negative
-    direction's mask first); ``None`` drops nothing.  Given ``pool``, the
+    """Positive bank ``x[:n]`` attends over the negative bank ``x[n:]`` and
+    vice versa, stacked as (2n, d) by one ``autodiff.paired_attention`` op,
+    which projects the banks itself, works in row tiles and keeps only a
+    log-sum-exp column per direction besides the projections and the
+    output.  In training, ``keep`` holds the two directions' packed dropout
+    masks (``autodiff.dropout_masks``, the positive-to-negative direction's
+    mask first); ``None`` drops nothing.  Given ``pool``, the
     negative-to-positive direction runs on it."""
-    return ad.paired_attention(
-        ad.matmul(lp, leaves["attn_q_pos"]),
-        ad.matmul(ln, leaves["attn_k_neg"]),
-        ad.matmul(ln, leaves["attn_v_neg"]),
-        ad.matmul(ln, leaves["attn_q_neg"]),
-        ad.matmul(lp, leaves["attn_k_pos"]),
-        ad.matmul(lp, leaves["attn_v_pos"]),
-        keep,
-        pool=pool,
-    )
+    names = ("q_pos", "k_neg", "v_neg", "q_neg", "k_pos", "v_pos")
+    weights = tuple(leaves[f"attn_{name}"] for name in names)
+    return ad.paired_attention(x, weights, keep, pool=pool)
 
 
 def transformer_block(
     l: Tensor,
     leaves: dict[str, Tensor],
-    config: ModelConfig,
     keep: tuple[np.ndarray, np.ndarray] | None = None,
     pool=None,
 ) -> Tensor:
     """Parallel cross-attention + FFN with residual:
     LN2(attn(LN1(x)) + FFN(LN1(x)) + LN1(x))."""
-    n = config.num_vars
     x = ad.layer_norm(l, leaves["ln1_gain"], leaves["ln1_bias"])
-    xp, xn = ad.split_rows(x, n)
-    a = cross_attention(xp, xn, leaves, keep, pool=pool)
-    f = ad.matmul(ad.relu(ad.matmul(x, leaves["ffn1"])), leaves["ffn2"])
+    a = cross_attention(x, leaves, keep, pool=pool)
+    f = ad.ffn(x, leaves["ffn1"], leaves["ffn2"])
     return ad.layer_norm(
         ad.add(ad.add(a, f), x), leaves["ln2_gain"], leaves["ln2_bias"]
     )
-
-
-def _first_column(a: Tensor) -> Tensor:
-    def back(g):
-        full = np.zeros_like(a.value)
-        full[:, :1] = g
-        a._accumulate(full)
-
-    return Tensor(a.value[:, :1].copy(), (a,), back)
 
 
 def build_forward(
@@ -219,14 +199,11 @@ def build_forward(
     if training and config.use_transformer and dropout is None:
         raise ValueError("training with attention needs its dropout masks")
     leaves = {name: Tensor(arr) for name, arr in params.items()}
-    n = config.num_vars
-    h1 = conv_layer(s, leaves["embed"], leaves["conv1"], "relu")
+    h1 = conv_layer(s, leaves["embed"], leaves["conv1"], relu=True)
     if config.use_transformer:
         keep = dropout if training else None
-        h1 = transformer_block(h1, leaves, config, keep, pool=pool)
-    logits = conv_layer(s, h1, leaves["conv2"], "identity")
+        h1 = transformer_block(h1, leaves, keep, pool=pool)
+    logits = conv_layer(s, h1, leaves["conv2"], relu=False)
     if config.mode == "variable":
         return ForwardTensors(leaves, ad.sigmoid(logits))
-    penult_pos, penult_neg = ad.split_rows(h1, n)
-    y = _first_column(ad.row_softmax(ad.reshape_pairs(logits, n)))
-    return ForwardTensors(leaves, y, penult_pos, penult_neg)
+    return ForwardTensors(leaves, ad.pair_softmax(logits), h1)

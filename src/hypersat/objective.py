@@ -11,8 +11,9 @@ unsatisfied).  (Minimizing it maximizes the weighted satisfied sum; the
 constant total weight is dropped.)  ``loss_and_grad`` computes it and its
 gradient on plain arrays in one pass over the instance's flat literal
 arrays; ``task_loss`` is the tape op around it.  The shared-representation
-loss ||L_pos + L_neg||_F^2 pushes complementary literal embeddings toward
-antisymmetry.
+loss ||L_pos + L_neg||_F^2 of the (2n, d) penultimate bank pushes
+complementary literal embeddings toward antisymmetry; ``shared_loss`` is
+one tape op on the whole bank.
 """
 
 from __future__ import annotations
@@ -96,6 +97,16 @@ def task_loss(instance: WcnfInstance, y: ad.Tensor) -> ad.Tensor:
     return ad.Tensor(np.array(value), (y,), back)
 
 
-def shared_loss(penult_pos: ad.Tensor, penult_neg: ad.Tensor) -> ad.Tensor:
-    """||pos + neg||_F^2 of the two literal banks, on the tape."""
-    return ad.frobenius_sq(ad.add(penult_pos, penult_neg))
+def shared_loss(penult: ad.Tensor) -> ad.Tensor:
+    """||pos + neg||_F^2 of the (2n, d) literal banks, the positive rows
+    first, on the tape."""
+    rows = len(penult.value)
+    if rows % 2:
+        raise ValueError(f"shared_loss needs 2n rows, got {rows}")
+    both = penult.value[: rows // 2] + penult.value[rows // 2 :]
+
+    def back(g):
+        half = 2.0 * float(g) * both
+        penult._accumulate(np.concatenate((half, half)))
+
+    return ad.Tensor(np.array((both**2).sum()), (penult,), back)

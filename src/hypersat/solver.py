@@ -155,8 +155,8 @@ def _model_config(instance: WcnfInstance, config: SolveConfig) -> ModelConfig:
 
 def _epoch_losses(ft, instance, lam) -> tuple[ad.Tensor, LossBreakdown]:
     task_t = objective.task_loss(instance, ft.y)
-    if lam > 0 and ft.penult_pos is not None:
-        shared_t = objective.shared_loss(ft.penult_pos, ft.penult_neg)
+    if lam > 0 and ft.penult is not None:
+        shared_t = objective.shared_loss(ft.penult)
         total_t = ad.add(task_t, ad.scale(shared_t, lam))
         shared_val = float(shared_t.value)
     else:

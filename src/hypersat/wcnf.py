@@ -87,7 +87,15 @@ class WcnfInstance:
     def __post_init__(self):
         for name, dtype in (("var", np.int64), ("positive", bool),
                             ("start", np.int64), ("weight", np.int64)):
-            array = np.asarray(getattr(self, name), dtype=dtype)
+            given = np.asarray(getattr(self, name))
+            if dtype is np.int64 and given.dtype.kind == "f":
+                # the cast would truncate 1.7 to 1 without a word
+                whole = (given == np.trunc(given)) & (np.abs(given) < 2.0**63)
+                if not whole.all():
+                    raise ValueError(
+                        f"{name} must hold integers, got {given[~whole][0]}"
+                    )
+            array = given.astype(dtype, copy=False)
             array.flags.writeable = False
             object.__setattr__(self, name, array)
         var, start, n = self.var, self.start, self.num_vars

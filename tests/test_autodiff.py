@@ -33,6 +33,15 @@ def weighted_sum(a, w):
     return Tensor(np.array((a.value * w).sum()), (a,), back)
 
 
+def square_sum(a):
+    """||a||_F^2 as a scalar node."""
+
+    def back(g):
+        a._accumulate(2.0 * float(g) * a.value)
+
+    return Tensor(np.array((a.value**2).sum()), (a,), back)
+
+
 def check_unary(build, shapes, seed, tol=1e-4):
     """FD-check a scalar-valued graph over named parameter arrays."""
     rng = make_rng(seed, 0xAD)
@@ -55,19 +64,9 @@ SEEDS = st.integers(0, 10_000)
 
 @given(SEEDS)
 @settings(max_examples=20, deadline=None)
-def test_matmul_grad(seed):
-    check_unary(
-        lambda l: ad.frobenius_sq(ad.matmul(l["a"], l["b"])),
-        {"a": (3, 4), "b": (4, 2)},
-        seed,
-    )
-
-
-@given(SEEDS)
-@settings(max_examples=20, deadline=None)
 def test_add_scale_grad(seed):
     check_unary(
-        lambda l: ad.frobenius_sq(
+        lambda l: square_sum(
             ad.add(ad.add(l["a"], l["b"]), ad.scale(l["c"], -0.7))
         ),
         {"a": (3, 3), "b": (3, 3), "c": (3, 3)},
@@ -75,38 +74,89 @@ def test_add_scale_grad(seed):
     )
 
 
-@given(SEEDS)
+def symmetric(seed, size):
+    """A sparse, exactly symmetric matrix, as conv's contract asks."""
+    import scipy.sparse as sp
+
+    rng = make_rng(seed, 0xAE)
+    dense = rng.standard_normal((size, size)) * (rng.random((size, size)) < 0.5)
+    return sp.csr_matrix(dense + dense.T)
+
+
+@given(SEEDS, st.booleans())
 @settings(max_examples=20, deadline=None)
-def test_transpose_concat_split_grad(seed):
-    # the transposed product q @ k.T and the row concatenation of the two
-    # directions are inside the paired attention op
-    def build(l):
-        a, b = l["a"], l["b"]
-        top, bot = ad.split_rows(ad.paired_attention(a, b, b, b, a, a, None), 2)
-        return ad.frobenius_sq(
-            ad.paired_attention(top, bot, bot, bot, top, top, None)
-        )
-
-    check_unary(build, {"a": (2, 3), "b": (3, 3)}, seed)
-
-
-@given(SEEDS)
-@settings(max_examples=20, deadline=None)
-def test_reshape_pairs_softmax_grad(seed):
+def test_conv_grad(seed, relu):
+    s = symmetric(seed, 5)
     check_unary(
-        lambda l: ad.frobenius_sq(ad.row_softmax(ad.reshape_pairs(l["v"], 3))),
+        lambda l: square_sum(ad.conv(s, l["l"], l["r"], relu)),
+        {"l": (5, 3), "r": (3, 2)},
+        seed,
+    )
+
+
+def test_conv_values():
+    s = symmetric(3, 6)
+    rng = make_rng(3, 0xAF)
+    l, r = rng.standard_normal((6, 4)), rng.standard_normal((4, 2))
+    linear = s.toarray() @ l @ r
+    assert np.allclose(ad.conv(s, Tensor(l), Tensor(r), False).value, linear)
+    relu = ad.conv(s, Tensor(l), Tensor(r), True).value
+    assert np.allclose(relu, np.maximum(linear, 0.0))
+    assert (linear < 0).any() and (relu >= 0).all()
+
+
+@given(SEEDS)
+@settings(max_examples=20, deadline=None)
+def test_ffn_grad(seed):
+    check_unary(
+        lambda l: square_sum(ad.ffn(l["x"], l["w1"], l["w2"])),
+        {"x": (5, 3), "w1": (3, 4), "w2": (4, 3)},
+        seed,
+    )
+
+
+def test_ffn_values():
+    rng = make_rng(4, 0xAF)
+    x, w1, w2 = (rng.standard_normal(s) for s in ((5, 3), (3, 4), (4, 2)))
+    out = ad.ffn(Tensor(x), Tensor(w1), Tensor(w2)).value
+    assert np.allclose(out, np.maximum(x @ w1, 0.0) @ w2)
+
+
+@given(SEEDS)
+@settings(max_examples=20, deadline=None)
+def test_pair_softmax_grad(seed):
+    w = make_rng(seed, 0xAC).standard_normal((3, 1))
+    check_unary(
+        lambda l: weighted_sum(ad.pair_softmax(l["v"]), w),
         {"v": (6, 1)},
         seed,
     )
 
 
+def test_pair_softmax_is_sigmoid_of_the_difference():
+    # P(x_i) = exp(z_i) / (exp(z_i) + exp(z_{n+i})) = sigmoid(z_i - z_{n+i})
+    rng = make_rng(5, 0xAF)
+    v = rng.standard_normal((8, 1)) * 10
+    y = ad.pair_softmax(Tensor(v)).value
+    assert y.shape == (4, 1)
+    assert np.all((y > 0) & (y < 1))
+    assert np.allclose(y[:, 0], 1.0 / (1.0 + np.exp(v[4:, 0] - v[:4, 0])))
+
+
+def test_pair_softmax_shift_invariant():
+    rng = make_rng(6, 0xAF)
+    v = rng.standard_normal((6, 1))
+    y1 = ad.pair_softmax(Tensor(v)).value
+    y2 = ad.pair_softmax(Tensor(v + 100.0)).value
+    assert np.allclose(y1, y2)
+
+
 @given(SEEDS)
 @settings(max_examples=20, deadline=None)
 def test_relu_sigmoid_grad(seed):
+    s = symmetric(seed, 4)
     check_unary(
-        lambda l: ad.frobenius_sq(
-            ad.sigmoid(ad.relu(ad.matmul(l["a"], l["b"])))
-        ),
+        lambda l: square_sum(ad.sigmoid(ad.conv(s, l["a"], l["b"], True))),
         {"a": (4, 3), "b": (3, 2)},
         seed,
     )
@@ -116,43 +166,12 @@ def test_relu_sigmoid_grad(seed):
 @settings(max_examples=20, deadline=None)
 def test_layer_norm_grad(seed):
     check_unary(
-        lambda l: ad.frobenius_sq(
+        lambda l: square_sum(
             ad.layer_norm(l["a"], l["gain"], l["bias"])
         ),
         {"a": (4, 5), "gain": (1, 5), "bias": (1, 5)},
         seed,
     )
-
-
-@given(SEEDS)
-@settings(max_examples=10, deadline=None)
-def test_sparse_matmul_grad(seed):
-    import scipy.sparse as sp
-
-    rng = make_rng(seed, 0xAE)
-    dense = rng.standard_normal((4, 4)) * (rng.random((4, 4)) < 0.5)
-    # the op's contract: s is exactly symmetric, as the operator S is
-    s = sp.csr_matrix(dense + dense.T)
-    check_unary(
-        lambda l, s=s: ad.frobenius_sq(ad.sparse_matmul(s, l["x"])),
-        {"x": (4, 3)},
-        seed,
-    )
-
-
-def test_row_softmax_rows_sum_to_one():
-    rng = make_rng(5, 0xAF)
-    p = ad.row_softmax(Tensor(rng.standard_normal((6, 4)) * 10)).value
-    assert np.allclose(p.sum(axis=1), 1.0)
-    assert np.all(p > 0)
-
-
-def test_row_softmax_shift_invariant():
-    rng = make_rng(6, 0xAF)
-    a = rng.standard_normal((3, 4))
-    p1 = ad.row_softmax(Tensor(a)).value
-    p2 = ad.row_softmax(Tensor(a + 100.0)).value
-    assert np.allclose(p1, p2)
 
 
 def test_layer_norm_output_statistics():
@@ -164,19 +183,17 @@ def test_layer_norm_output_statistics():
 
 
 def test_multi_consumer_accumulation():
-    # d/dx of ||x @ x||^2 where x is consumed twice: G x^T + x^T G with
-    # G = 2 x @ x
+    # x feeds a scale and an add: y = ||3x + x||^2 = 16 ||x||^2, dy/dx = 32x
     x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    out = ad.frobenius_sq(ad.matmul(x, x))
+    out = square_sum(ad.add(ad.scale(x, 3.0), x))
     ad.backward(out)
-    g = 2.0 * x.value @ x.value
-    assert np.allclose(x.grad, g @ x.value.T + x.value.T @ g)
+    assert np.allclose(x.grad, 32.0 * x.value)
 
 
 def test_diamond_graph_gradient():
     # y = ||(x + x) + x||^2 = 9 ||x||^2, dy/dx = 18x
     x = Tensor(np.array([[1.0, -2.0, 3.0]]))
-    out = ad.frobenius_sq(ad.add(ad.add(x, x), x))
+    out = square_sum(ad.add(ad.add(x, x), x))
     ad.backward(out)
     assert np.allclose(x.grad, 18.0 * x.value)
 
@@ -192,11 +209,9 @@ def test_shape_mismatch_errors():
     with pytest.raises(ValueError):
         ad.add(a, b)
     with pytest.raises(ValueError):
-        ad.matmul(b, b)
+        ad.ffn(b, b, b)
     with pytest.raises(ValueError):
-        ad.split_rows(a, 2)
-    with pytest.raises(ValueError):
-        ad.reshape_pairs(Tensor(np.ones((3, 1))), 2)
+        ad.pair_softmax(Tensor(np.ones((3, 1))))
 
 
 NAMES = ("q_pos", "k_neg", "v_neg", "q_neg", "k_pos", "v_pos")
@@ -231,12 +246,51 @@ def worker():
         yield pool
 
 
-def attention_inputs(seed, n=5, d=3, dv=4):
-    """Arrays shaped as the model shapes them: n positive and n negative
-    rows, each bank querying the other's keys and values."""
+def attention_inputs(seed, n=5, d=3, dv=4, width=3):
+    """Arrays shaped as the model shapes them: a bank ``x`` of n positive
+    and n negative rows, the six projections from its ``width`` columns
+    (q and k to d, v to dv), each bank querying the other's keys and
+    values; and a (2n, dv) weight on the output.  The projections are
+    scaled so that the scores stay near unit size."""
     rng = make_rng(seed, 0xB1)
-    arrays = {name: rand(rng, n, dv if name[0] == "v" else d) for name in NAMES}
+    arrays = {"x": rand(rng, 2 * n, width)}
+    for name in NAMES:
+        cols = dv if name[0] == "v" else d
+        arrays[name] = rand(rng, width, cols) / math.sqrt(width)
     return arrays, rand(rng, 2 * n, dv)
+
+
+def matmul(a, b):
+    """a @ b on the tape."""
+
+    def back(g):
+        a._accumulate(g @ b.value.T)
+        b._accumulate(a.value.T @ g)
+
+    return Tensor(a.value @ b.value, (a, b), back)
+
+
+def row_softmax(a):
+    z = a.value - a.value.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    p = e / e.sum(axis=1, keepdims=True)
+
+    def back(g):
+        dot = (g * p).sum(axis=1, keepdims=True)
+        a._accumulate(p * (g - dot))
+
+    return Tensor(p, (a,), back)
+
+
+def rows(a, part):
+    """The rows ``part`` of a on the tape."""
+
+    def back(g):
+        full = np.zeros_like(a.value)
+        full[part] = g
+        a._accumulate(full)
+
+    return Tensor(a.value[part], (a,), back)
 
 
 def reference_direction(q, k, v, training, rng):
@@ -246,49 +300,49 @@ def reference_direction(q, k, v, training, rng):
     p = ad.ATTENTION_DROPOUT
     kt = Tensor(k.value.T, (k,), lambda g: k._accumulate(g.T))
     scale = 1.0 / math.sqrt(q.value.shape[1])
-    probs = ad.row_softmax(ad.scale(ad.matmul(q, kt), scale))
+    probs = row_softmax(ad.scale(matmul(q, kt), scale))
     if training and p > 0.0:
         mask = (rng.random(probs.shape) >= p) / (1.0 - p)
         kept = probs
         probs = Tensor(
             kept.value * mask, (kept,), lambda g: kept._accumulate(g * mask)
         )
-    return ad.matmul(probs, v)
+    return matmul(probs, v)
 
 
-def reference_attention(q_pos, k_neg, v_neg, q_neg, k_pos, v_pos, *rest):
-    """Both directions of the unfused chain, one after the other, stacked
-    by a row concatenation; both draw from one generator made from the key."""
-    training, key = rest
+def reference_attention(x, weights, training, key):
+    """The bank split into its halves, the six projections, and both
+    directions of the unfused chain, one after the other, stacked by a row
+    concatenation; both draw from one generator made from the key."""
+    n = len(x.value) // 2
+    pos, neg = rows(x, slice(None, n)), rows(x, slice(n, None))
+    q_pos, k_neg, v_neg, q_neg, k_pos, v_pos = (
+        matmul(bank, w) for bank, w in zip((pos, neg, neg, neg, pos, pos), weights)
+    )
     rng = None if key is None else np.random.Generator(np.random.Philox(key=key))
     a = reference_direction(q_pos, k_neg, v_neg, training, rng)
     b = reference_direction(q_neg, k_pos, v_pos, training, rng)
-    split = a.value.shape[0]
 
     def back(g):
-        a._accumulate(g[:split])
-        b._accumulate(g[split:])
+        a._accumulate(g[:n])
+        b._accumulate(g[n:])
 
     return Tensor(np.vstack([a.value, b.value]), (a, b), back)
 
 
-def fused_attention(
-    q_pos, k_neg, v_neg, q_neg, k_pos, v_pos, *rest, pool=None
-):
+def fused_attention(x, weights, training, key, pool=None):
     """paired_attention with the masks dropout_masks draws from the key, so
     it takes the reference's arguments; ``pool`` goes to both."""
-    training, key = rest
     keep = None
     if training:
-        keep = ad.dropout_masks(key, len(q_pos.value), pool=pool)
-    return ad.paired_attention(
-        q_pos, k_neg, v_neg, q_neg, k_pos, v_pos, keep, pool=pool
-    )
+        keep = ad.dropout_masks(key, len(x.value) // 2, pool=pool)
+    return ad.paired_attention(x, weights, keep, pool=pool)
 
 
 def run_attention(op, arrays, weight, training, key):
     leaves = {name: Tensor(a) for name, a in arrays.items()}
-    out = op(*(leaves[name] for name in NAMES), training, key)
+    weights = tuple(leaves[name] for name in NAMES)
+    out = op(leaves["x"], weights, training, key)
     ad.backward(weighted_sum(out, weight))
     return out.value, {name: t.grad for name, t in leaves.items()}
 
@@ -419,7 +473,7 @@ def test_attention_holds_no_score_sized_float_array(threaded, worker):
     try:
         keep = ad.dropout_masks(derive_key(6, 0xD0), 1200, pool=pool)
         out = ad.paired_attention(
-            *(leaves[name] for name in NAMES), keep, pool=pool
+            leaves["x"], tuple(leaves[name] for name in NAMES), keep, pool=pool
         )
         ad.backward(weighted_sum(out, weight))
         peak = tracemalloc.get_traced_memory()[1]
@@ -518,16 +572,23 @@ def test_single_precision_scores_leave_no_subnormal_probability():
     assert np.abs(probs.sum(axis=1) - 1).max() <= 1e-5
 
 
-@given(SEEDS, st.sampled_from([0.0, 0.2, 0.6]))
-@settings(max_examples=15, deadline=None)
-def test_attention_grad(seed, p):
-    # the same masks in every call
-    shapes = {name: (4, 3 if name[0] == "v" else 2) for name in NAMES}
-    with constants(ATTENTION_DROPOUT=p):
-        keep = ad.dropout_masks(derive_key(99, 0xB2), 4)
+@given(SEEDS, st.sampled_from([None, 0.0, 0.2, 0.6]), st.booleans())
+@settings(max_examples=20, deadline=None)
+def test_attention_grad(seed, p, threaded):
+    # with respect to x and all six projections; the same masks in every
+    # call, or none (inference) at p = None
+    shapes = {"x": (8, 3)}
+    shapes.update({name: (3, 3 if name[0] == "v" else 2) for name in NAMES})
+    with ThreadPoolExecutor(1) as pool, constants(ATTENTION_DROPOUT=p or 0.0):
+        keep = None if p is None else ad.dropout_masks(derive_key(99, 0xB2), 4)
         check_unary(
-            lambda l: ad.frobenius_sq(
-                ad.paired_attention(*(l[name] for name in NAMES), keep)
+            lambda l: square_sum(
+                ad.paired_attention(
+                    l["x"],
+                    tuple(l[name] for name in NAMES),
+                    keep,
+                    pool=pool if threaded else None,
+                )
             ),
             shapes,
             seed,
@@ -535,12 +596,13 @@ def test_attention_grad(seed, p):
 
 
 def uniform_attention(keep, n=200, pool=None):
-    # zero scores give probabilities 1/n, and v = I shows the dropped
-    # probabilities themselves as the output: the (2n, n) masks in drawing
-    # order
-    q, k = Tensor(np.zeros((n, 1))), Tensor(np.zeros((n, 1)))
+    # zero queries give probabilities 1/n, and values that are the identity
+    # show the dropped probabilities themselves as the output: the (2n, n)
+    # masks in drawing order
+    x = Tensor(np.vstack([np.eye(n), np.eye(n)]))
+    zero = Tensor(np.zeros((n, 1)))
     v_neg, v_pos = Tensor(np.eye(n)), Tensor(np.eye(n))
-    out = ad.paired_attention(q, k, v_neg, q, k, v_pos, keep, pool)
+    out = ad.paired_attention(x, (zero, zero, v_neg, zero, zero, v_pos), keep, pool)
     return out, (v_neg, v_pos)
 
 
@@ -586,12 +648,13 @@ def test_dropout_mask_equals_random_threshold(seed, n, p):
 
 def test_dropout_inference_is_identity():
     arrays, _ = attention_inputs(1, n=7)
-    leaves = [Tensor(arrays[name]) for name in NAMES]
-    out = ad.paired_attention(*leaves, None)
+    x = Tensor(arrays["x"])
+    weights = tuple(Tensor(arrays[name]) for name in NAMES)
+    out = ad.paired_attention(x, weights, None)
     # at p = 0 every word clears the threshold, so nothing is dropped
     with constants(ATTENTION_DROPOUT=0.0):
         keep_all = ad.dropout_masks(derive_key(1, 0xB0), 7)
-        undropped = ad.paired_attention(*leaves, keep_all)
+        undropped = ad.paired_attention(x, weights, keep_all)
     for mask in keep_all:
         assert np.unpackbits(mask, axis=1, count=7).all()
     assert np.array_equal(out.value, undropped.value)
@@ -613,8 +676,9 @@ def test_dropout_gradient_uses_same_mask(worker):
         out, (v_neg, v_pos) = uniform_attention(keep, pool=pool)
         g = np.ones_like(out.value)
         ad.backward(weighted_sum(out, g))
-        # dv = dropped.T @ g per direction, and out is the dropped
-        # probabilities themselves
+        # with the identity as both bank and projection, the projection's
+        # gradient is dv = dropped.T @ g per direction, and out is the
+        # dropped probabilities themselves
         halves = (slice(200), slice(200, None))
         for v, rows in zip((v_neg, v_pos), halves):
             want = out.value[rows].T @ g[rows]
@@ -622,13 +686,13 @@ def test_dropout_gradient_uses_same_mask(worker):
 
 
 def test_paired_attention_rejects_bad_mask_shape():
-    q = Tensor(np.ones((2, 2)))
+    x, w = Tensor(np.ones((4, 2))), Tensor(np.ones((2, 2)))
     # masks packed for 3 rows, or for 9 columns, do not fit 2 x 2 cells
     first = ad.dropout_masks(0, 2)[0]
     for bad in (ad.dropout_masks(0, 3)[0], np.zeros((2, 2), np.uint8)):
         for keep in ((bad, first), (first, bad)):
             with pytest.raises(ValueError, match="keep mask"):
-                ad.paired_attention(*[q] * 6, keep)
+                ad.paired_attention(x, (w,) * 6, keep)
 
 
 def test_finite_diff_check_flags_wrong_gradient():

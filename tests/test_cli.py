@@ -188,6 +188,8 @@ def test_solve_fails_when_one_instance_fails(tmp_path, capsys):
          "invalid weight range [0, 10]"),
         (["gen", "--n", "5", "--m", "0"], "instance must have at least one clause"),
         (["bench", "--seeds", "a"], "--seeds 'a' is not a comma list of integers"),
+        (["gen", "--n", "5", "--m", "5", "--count", "0"],
+         "--count must be >= 1, got 0"),
     ],
 )
 def test_bad_arguments_print_an_error(tmp_path, capsys, argv, message):

@@ -46,8 +46,7 @@ def infer(s, params, config):
 
 def head_logits(s, params, ft):
     """The 2n logits of a literal-mode pass, from its penultimate banks."""
-    h1 = ad.Tensor(np.vstack([ft.penult_pos.value, ft.penult_neg.value]))
-    return conv_layer(s, h1, ad.Tensor(params["conv2"]), "identity").value
+    return conv_layer(s, ft.penult, ad.Tensor(params["conv2"]), False).value
 
 
 def test_round_half_up():
@@ -170,7 +169,7 @@ def test_conv_layer_hand_computed():
     assert dense[0, 1] == pytest.approx(0.25)
     l = ad.Tensor(np.array([[1.0], [2.0], [0.0], [0.0]]))
     r = ad.Tensor(np.array([[3.0]]))
-    out = conv_layer(s, l, r, "relu")
+    out = conv_layer(s, l, r, True)
     expected = np.maximum(dense @ l.value @ r.value, 0.0)
     assert np.allclose(out.value, expected)
     assert out.value[0, 0] == pytest.approx(0.25 * 2.0 * 3.0)
@@ -181,10 +180,8 @@ def test_conv_layer_identity_activation():
     s = normalized_operator(build_literal_hypergraph(inst))
     l = ad.Tensor(-np.ones((4, 2)))
     r = ad.Tensor(np.ones((2, 1)))
-    out = conv_layer(s, l, r, "identity")
+    out = conv_layer(s, l, r, False)
     assert np.any(out.value < 0)
-    with pytest.raises(ValueError):
-        conv_layer(s, l, r, "tanh")
 
 
 def test_forward_output_shapes_and_range():
@@ -192,7 +189,7 @@ def test_forward_output_shapes_and_range():
     y, ft = infer(s, params, config)
     assert y.shape == (10,)
     assert np.all(y > 0) and np.all(y < 1)
-    assert ft.penult_pos.shape == ft.penult_neg.shape == (10, config.hidden_dim)
+    assert ft.penult.shape == (20, config.hidden_dim)
 
 
 def test_pair_softmax_head_complementary():
@@ -212,10 +209,10 @@ def test_variable_mode_sigmoid_head():
     y, ft = infer(s, params, config)
     assert y.shape == (6,)
     leaves = {name: ad.Tensor(p) for name, p in params.items()}
-    h1 = conv_layer(s, leaves["embed"], leaves["conv1"], "relu")
-    logits = conv_layer(s, h1, leaves["conv2"], "identity").value
+    h1 = conv_layer(s, leaves["embed"], leaves["conv1"], True)
+    logits = conv_layer(s, h1, leaves["conv2"], False).value
     assert np.allclose(y, 1.0 / (1.0 + np.exp(-logits[:, 0])))
-    assert ft.penult_pos is None and ft.penult_neg is None
+    assert ft.penult is None
 
 
 def test_transformer_ablation_changes_output():

@@ -245,15 +245,28 @@ def test_task_loss_rejects_wrong_length():
 def test_shared_loss_values_and_gradient():
     a = np.array([[1.0, -2.0], [0.5, 0.0]])
     b = np.array([[-1.0, 2.0], [0.5, 1.0]])
-    ta, tb = ad.Tensor(a), ad.Tensor(b)
-    out = shared_loss(ta, tb)
+    penult = ad.Tensor(np.vstack([a, b]))
+    out = shared_loss(penult)
     assert float(out.value) == pytest.approx(((a + b) ** 2).sum())
-    assert float(shared_loss(ta, ad.Tensor(-a)).value) == 0.0
-    ad.backward(out)
-    assert np.allclose(ta.grad, 2 * (a + b))
-    assert np.allclose(tb.grad, 2 * (a + b))
-    with pytest.raises(ValueError):
-        shared_loss(ta, ad.Tensor(np.ones((3, 2))))
+    assert float(shared_loss(ad.Tensor(np.vstack([a, -a]))).value) == 0.0
+    ad.backward(ad.scale(out, 3.0))
+    assert np.allclose(penult.grad, 6 * np.vstack([a + b, a + b]))
+    with pytest.raises(ValueError, match="2n rows"):
+        shared_loss(ad.Tensor(np.ones((3, 2))))
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=20, deadline=None)
+def test_shared_loss_grad(seed):
+    penult = make_rng(seed, 0xC6).standard_normal((6, 3))
+    leaf = ad.Tensor(penult)
+    ad.backward(shared_loss(leaf))
+    err = ad.finite_diff_check(
+        lambda ps: float(shared_loss(ad.Tensor(ps["p"])).value),
+        {"p": penult},
+        {"p": leaf.grad},
+    )
+    assert err < 1e-6
 
 
 def test_total_loss_and_breakdown():

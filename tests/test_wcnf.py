@@ -225,6 +225,23 @@ def test_instance_validation():
             dataclasses.replace(inst, **bad)
 
 
+def test_instance_rejects_non_integral_values():
+    inst = make_instance(3, [((1, -2), 2), ((3,), 3)])
+    for name, bad in (
+        ("weight", [1.7, 2.9]),
+        ("weight", [2.0, np.nan]),
+        ("var", [0.5, 1.0, 2.0]),
+        ("start", [0.0, 2.0, 3.5]),
+        ("start", [0.0, 2.0, np.inf]),
+    ):
+        with pytest.raises(ValueError, match=f"{name} must hold integers"):
+            dataclasses.replace(inst, **{name: bad})
+    # whole floats are the integers they hold
+    same = dataclasses.replace(inst, weight=[2.0, 3.0], var=[0.0, 1.0, 2.0])
+    assert same.weight.tolist() == [2, 3] and same.weight.dtype == np.int64
+    assert same.var.tolist() == [0, 1, 2]
+
+
 def test_instance_arrays_are_read_only():
     inst = make_instance(3, [((1, -2), 1), ((3, -3), 2)])
     occurs = inst.occurrence_lists.occurs
