@@ -24,10 +24,10 @@ column per direction, from which backward recomputes each tile's
 probabilities in one GEMM; backward's row term rowsum(dP * P) is
 rowsum(g * out), taken over the output.  Its dropout takes ``keep``, the
 two directions' masks packed to bits, which ``dropout_masks`` draws from a
-Philox key.  Both take an optional ``pool``, an executor that runs the
-second direction on plain arrays (the tape is built and walked by the
-caller's thread alone), with the same tiles, so results are bit-identical
-with or without it.
+Philox key.  From ``LARGE_CELLS`` score cells per direction it runs the
+second direction on plain arrays on an optional ``pool`` (the tape is
+built and walked by the caller's thread alone), with the same tiles, so
+results are bit-identical with or without it.
 
 Precision: from ``LARGE_CELLS`` score cells per direction (n >= 512) the
 attention works in single precision.  Its tiles, their GEMMs and its
@@ -54,8 +54,8 @@ LAYER_NORM_EPS = 1e-5
 # inverted-dropout probability of the cross-attention weights
 ATTENTION_DROPOUT = 0.1
 # Score cells (rows x cols) per attention direction from which the attention
-# works in single precision and solver.train's worker runs the second
-# direction (n >= 512).
+# works in single precision and runs its second direction on the pool it is
+# given (n >= 512).
 LARGE_CELLS = 2**18
 # Shifted float32 scores (less the row max, or in backward the log-sum-exp)
 # are floored here before exp.  e**-40 vanishes in a row sum of at least 1,
@@ -318,7 +318,7 @@ def _pair(pool, fn, first: tuple, second: tuple) -> tuple:
     return fn(*first), later.result()
 
 
-def dropout_masks(key: int, n: int, pool=None) -> tuple[np.ndarray, np.ndarray]:
+def dropout_masks(key: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n x n keep masks of both ``paired_attention`` directions, packed
     to bits along rows (``np.packbits(mask, axis=1)``).
 
@@ -330,14 +330,11 @@ def dropout_masks(key: int, n: int, pool=None) -> tuple[np.ndarray, np.ndarray]:
     keeps, from the same words, at half the cost.  From the cutoff each
     word is cut into four 16-bit cells (``random_raw(...).view(np.uint16)``),
     kept when at least ``ceil(ATTENTION_DROPOUT * 2**16)``, so a mask takes
-    ceil(n * n / 4) words.  The first mask takes the stream's first n * n
-    cells; the second opens the stream again past their words (Philox
-    makes words in blocks of four, which ``advance`` skips), so it is the
-    mask the serial order would draw.  Words are drawn about
-    ``DRAW_CELLS`` at a time, in tiles of whole rows and whole words, so
-    the draw holds no n x n array but the packed masks.  The second mask is
-    drawn on ``pool`` when one is given; the result depends on the key
-    alone, whatever thread draws it."""
+    ceil(n * n / 4) words.  The first mask takes the stream's first words
+    and the second continues the stream where the first ended.  Words are
+    drawn about ``DRAW_CELLS`` at a time, in tiles of whole rows and whole
+    words, so the draw holds no n x n array but the packed masks, and only
+    a mask's last word can leave cells unused."""
     if _single(n * n):
         cell, threshold = np.uint16, _half_threshold()
     else:
@@ -346,11 +343,9 @@ def dropout_masks(key: int, n: int, pool=None) -> tuple[np.ndarray, np.ndarray]:
     per_word = 8 // np.dtype(cell).itemsize
     # a multiple of per_word rows ends each tile but the last on a whole word
     step = per_word * max(1, DRAW_CELLS // n)
+    bitgen = np.random.Philox(key=key)
 
-    def draw(skip):
-        bitgen = np.random.Philox(key=key)
-        bitgen.advance(skip // 4)
-        bitgen.random_raw(skip % 4)
+    def draw():
         packed = np.empty((n, -(-n // 8)), dtype=np.uint8)
         for start in range(0, n, step):
             rows = slice(start, min(start + step, n))
@@ -360,7 +355,7 @@ def dropout_masks(key: int, n: int, pool=None) -> tuple[np.ndarray, np.ndarray]:
             packed[rows] = np.packbits(kept, axis=1)
         return packed
 
-    return _pair(pool, draw, (0,), (-(-n * n // per_word),))
+    return draw(), draw()  # left to right: the first mask first
 
 
 def paired_attention(
@@ -395,9 +390,10 @@ def paired_attention(
     projections, the output, the gradients and their sums over tiles are
     float64.  Below it, all is float64.
 
-    Given ``pool``, the second direction's forward and backward run on it
-    while the first runs on the caller's thread; numpy releases the GIL for
-    BLAS and ufuncs.
+    Given ``pool``, from ``LARGE_CELLS`` the second direction's forward and
+    backward run on it while the first runs on the caller's thread; numpy
+    releases the GIL for BLAS and ufuncs.  Below the cutoff both run on the
+    caller's thread and the pool is ignored.
     """
     n = len(x.value) // 2
     banks = (x.value[:n], x.value[n:])
@@ -406,6 +402,7 @@ def paired_attention(
     proj = [banks[side] @ w.value for side, w in zip(sides, weights)]
     single = _single(n * n)
     dtype = np.float32 if single else np.float64
+    pool = pool if single else None
 
     def cast():
         # backward casts again, so the closure keeps no float32 copies

@@ -1,12 +1,14 @@
 """Command-line interface: instance generation, solving, benchmarking,
 classical oracles, and gradient checking.
 
-All commands honor ``--seed`` (default from the HYPERSAT_SEED environment
-variable, else 0).  Apart from wall-time fields their output repeats for a
-fixed seed and a fixed BLAS thread count: OpenBLAS splits the attention
-GEMMs by thread count, so a solve rounds differently on one thread than on
-two.  Set ``OPENBLAS_NUM_THREADS=1``, as ``perfbench/run.py`` does, for
-results that repeat across machines.  The oracles use no BLAS.
+All commands honor ``--seed`` (default 0).  Apart from wall-time fields
+their output repeats for a fixed seed and a fixed BLAS thread count:
+OpenBLAS splits the attention GEMMs by thread count, so a solve rounds
+differently on one thread than on two.  Set ``OPENBLAS_NUM_THREADS=1``,
+as ``perfbench/run.py`` does, for results that repeat across machines.
+The oracles use no BLAS.  Output paths are opened before any work
+starts, so one that cannot be written fails at once with ``error:
+<path>: <reason>`` and exit status 1.
 """
 
 from __future__ import annotations
@@ -55,8 +57,9 @@ METHOD_CONFIGS = {
 }
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("HYPERSAT_SEED", "0"))
+def _path_error(path, exc: OSError) -> int:
+    print(f"error: {path}: {exc.strerror or exc}", file=sys.stderr)
+    return 1
 
 
 def _load_instance(path: str) -> WcnfInstance:
@@ -80,7 +83,10 @@ def cmd_gen(args) -> int:
         print(f"error: --count must be >= 1, got {args.count}", file=sys.stderr)
         return 1
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _path_error(out_dir, exc)
     for i in range(args.count):
         derived = args.seed + i
         try:
@@ -120,8 +126,12 @@ def cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     paths, records = _expand_inputs(args.inputs), []
-    # without --out the records go to the null device
-    with open(args.out or os.devnull, "w") as out:
+    try:
+        # without --out the records go to the null device
+        out = open(args.out or os.devnull, "w")
+    except OSError as exc:
+        return _path_error(args.out, exc)
+    with out:
         for path in paths:
             try:
                 result = solve(_load_instance(path), config)
@@ -210,15 +220,19 @@ def cmd_bench(args) -> int:
               "integers", file=sys.stderr)
         return 1
     tasks = [(p, m, s) for p in paths for m in methods for s in seeds]
+    try:
+        fh = open(args.out, "w", newline="")
+    except OSError as exc:
+        return _path_error(args.out, exc)
     _bench_instance.cache_clear()  # a file may have changed since a last run
-    if args.workers > 1:
-        with Pool(args.workers) as pool:
-            outcomes = pool.map(_bench_task, tasks)
-    else:
-        outcomes = [_bench_task(t) for t in tasks]
-    rows = [row for row, _ in outcomes if row is not None]
-    rows.sort(key=lambda r: (r["method"], r["instance"], r["seed"]))
-    with open(args.out, "w", newline="") as fh:
+    with fh:
+        if args.workers > 1:
+            with Pool(args.workers) as pool:
+                outcomes = pool.map(_bench_task, tasks)
+        else:
+            outcomes = [_bench_task(t) for t in tasks]
+        rows = [row for row, _ in outcomes if row is not None]
+        rows.sort(key=lambda r: (r["method"], r["instance"], r["seed"]))
         writer = csv.DictWriter(fh, fieldnames=CSV_HEADER)
         writer.writeheader()
         writer.writerows(rows)
@@ -287,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--weight-lo", type=int, default=1)
     p.add_argument("--weight-hi", type=int, default=10)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_gen)
 
@@ -299,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=5)
     p.add_argument("--no-transformer", action="store_true")
     p.add_argument("--variable-nodes", action="store_true")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write JSON records to this file")
     p.set_defaults(func=cmd_solve)
 
@@ -323,12 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=["exhaustive", "local-search"], default="exhaustive"
     )
     p.add_argument("--max-steps", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient report")
     p.add_argument("--n", type=int, default=6)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

@@ -24,8 +24,8 @@ identity on the logit layer.
 A training forward pass takes the attention's dropout masks as an argument
 instead of drawing them: ``autodiff.dropout_masks`` makes them from a
 Philox key, packed to bits, and ``paired_attention`` takes them as
-``keep``.  Both take an optional ``pool`` for the attention's second
-direction, which the forward pass hands down.
+``keep``.  The forward pass hands down an optional ``pool``, on which a
+large attention runs its second direction.
 
 Widths come from n: the input width is round(sqrt(n)) and the hidden
 width half that, each at least 2, since a 1-wide LayerNorm row normalizes
@@ -156,8 +156,8 @@ def cross_attention(
     log-sum-exp column per direction besides the projections and the
     output.  In training, ``keep`` holds the two directions' packed dropout
     masks (``autodiff.dropout_masks``, the positive-to-negative direction's
-    mask first); ``None`` drops nothing.  Given ``pool``, the
-    negative-to-positive direction runs on it."""
+    mask first); ``None`` drops nothing.  Given ``pool``, a large
+    attention runs the negative-to-positive direction on it."""
     names = ("q_pos", "k_neg", "v_neg", "q_neg", "k_pos", "v_pos")
     weights = tuple(leaves[f"attn_{name}"] for name in names)
     return ad.paired_attention(x, weights, keep, pool=pool)

@@ -11,18 +11,14 @@ those parameters.  Rounding draws k independent Bernoulli assignments from
 the probability vector and keeps the one with the least unsatisfied weight
 (first drawn wins ties).
 
-Threading and precision: ``train`` keeps one worker thread for the whole
-solve, started only if a model with attention needs it.  From
-``autodiff.LARGE_CELLS`` score cells per attention direction (n >= 512) the
-worker runs the second half of each pair (the second dropout mask, and the
-second direction's forward and backward) while the solve's thread runs the
-first, and each epoch's masks are drawn at its start; at the same cutoff
-the attention works in float32 tiles with 16-bit dropout cells.  Below the
-cutoff the attention is float64 and leaves the second core idle, so the
-worker draws each epoch's masks while the epoch before trains.  The masks
-are a function of the seed and the epoch alone, and each direction's tiles
-are the same on either thread, so results do not depend on thread timing
-or on which thread ran what.
+Threading: ``train`` keeps one worker thread for the whole solve, started
+only if a model with attention needs it.  The worker draws epoch 1's
+dropout masks before the loop and each next epoch's masks while the epoch
+before trains, at every n.  It is also the attention's ``pool``, on which
+a large attention runs its second direction (``autodiff.paired_attention``
+decides from which size).  The masks are a function of the seed and the
+epoch alone, and each direction's tiles are the same on either thread, so
+results do not depend on thread timing or on which thread ran what.
 """
 
 from __future__ import annotations
@@ -187,9 +183,9 @@ def train(instance: WcnfInstance, config: SolveConfig) -> tuple[
     stall = 0
     epochs_run = 0
 
-    def draw(epoch, pool):
+    def draw(epoch):
         key = derive_key(config.seed, 0xD0, epoch)
-        return ad.dropout_masks(key, mconfig.num_vars, pool=pool)
+        return ad.dropout_masks(key, mconfig.num_vars)
 
     # The threading rule of the module docstring.  Leaving the block waits
     # for a draw still running and drops it.  A diverging run overflows on
@@ -200,22 +196,13 @@ def train(instance: WcnfInstance, config: SolveConfig) -> tuple[
     with np.errstate(**quiet), ThreadPoolExecutor(
         1, initializer=functools.partial(np.seterr, **quiet)
     ) as worker:
-        pool = worker if mconfig.num_vars**2 >= ad.LARGE_CELLS else None
-        ahead = None
-        if config.use_transformer and pool is None:
-            # the worker draws with no pool: a task that submitted to its
-            # own single worker would wait for itself
-            ahead = worker.submit(draw, 1, None)
+        ahead = worker.submit(draw, 1) if config.use_transformer else None
         for epoch in range(1, config.max_epochs + 1):
-            masks = None
-            if ahead:
-                masks = ahead.result()
-                if epoch < config.max_epochs:
-                    ahead = worker.submit(draw, epoch + 1, None)
-            elif config.use_transformer:
-                masks = draw(epoch, pool)
+            masks = ahead.result() if ahead else None
+            if ahead and epoch < config.max_epochs:
+                ahead = worker.submit(draw, epoch + 1)
             ft = build_forward(
-                s, params, mconfig, training=True, dropout=masks, pool=pool
+                s, params, mconfig, training=True, dropout=masks, pool=worker
             )
             total_t, breakdown = _epoch_losses(ft, instance, config.lam)
             if not np.isfinite(breakdown.total):
@@ -241,7 +228,7 @@ def train(instance: WcnfInstance, config: SolveConfig) -> tuple[
             ft = total_t = masks = None
         ft = total_t = masks = ahead = None
         np.copyto(flat, best_flat)  # the views in params now hold the best
-        final = build_forward(s, params, mconfig, training=False, pool=pool)
+        final = build_forward(s, params, mconfig, training=False, pool=worker)
     _, final_breakdown = _epoch_losses(final, instance, config.lam)
     y_final = final.y.value.reshape(-1).copy()
     return y_final, trace, epochs_run, final_breakdown

@@ -7,6 +7,7 @@ exactly run to run.
 """
 
 import csv
+import os
 import time
 from multiprocessing import Pool
 
@@ -29,7 +30,9 @@ from hypersat.wcnf import (
     generate_random_3sat,
 )
 
-WORKERS = 10
+# each task seeds itself and BLAS is pinned to one thread, so the results
+# do not depend on the pool size; more processes than cores only contend
+WORKERS = os.cpu_count() or 1
 
 
 def report(tag, ok, detail):

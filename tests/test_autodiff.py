@@ -240,8 +240,8 @@ def cutoffs(tile_cells=None):
 
 @pytest.fixture
 def worker():
-    """A one-thread pool the test owns, for the second call of each pair;
-    ``None`` in its place runs both calls on the caller's thread."""
+    """A one-thread pool the test owns, for the attention's second
+    direction; ``None`` in its place runs both on the caller's thread."""
     with ThreadPoolExecutor(1) as pool:
         yield pool
 
@@ -332,10 +332,10 @@ def reference_attention(x, weights, training, key):
 
 def fused_attention(x, weights, training, key, pool=None):
     """paired_attention with the masks dropout_masks draws from the key, so
-    it takes the reference's arguments; ``pool`` goes to both."""
+    it takes the reference's arguments; ``pool`` goes to the op."""
     keep = None
     if training:
-        keep = ad.dropout_masks(key, len(x.value) // 2, pool=pool)
+        keep = ad.dropout_masks(key, len(x.value) // 2)
     return ad.paired_attention(x, weights, keep, pool=pool)
 
 
@@ -354,21 +354,20 @@ chain_close = functools.partial(np.allclose, rtol=1e-12, atol=1e-14)
 
 @pytest.mark.parametrize("training", [True, False])
 @pytest.mark.parametrize("p", [0.0, 0.1, 0.5])
-def test_attention_agrees_with_unfused_chain_to_rounding(p, training, worker):
+def test_attention_agrees_with_unfused_chain_to_rounding(p, training):
     # n * n score cells per direction are 0 or 1 mod 4, the two offsets in
     # a Philox block at which the second direction's words can start; 41
     # and 7 columns leave a part-filled byte in each packed mask row
-    for n, pool, tile in itertools.product(
-        (40, 41, 7, 6), (None, worker), (None, 64)
-    ):
+    for n, tile in itertools.product((40, 41, 7, 6), (None, 64)):
         arrays, weight = attention_inputs(n, n)
         key = derive_key(n, 0xD0)
-        fused_op = functools.partial(fused_attention, pool=pool)
         with constants(ATTENTION_DROPOUT=p):
             with cutoffs(tile):
-                fused = run_attention(fused_op, arrays, weight, training, key)
+                fused = run_attention(
+                    fused_attention, arrays, weight, training, key
+                )
             ref = run_attention(reference_attention, arrays, weight, training, key)
-        case = (n, pool is not None, tile)
+        case = (n, tile)
         assert chain_close(fused[0], ref[0]), case
         for name in arrays:
             assert chain_close(fused[1][name], ref[1][name]), (name, case)
@@ -381,32 +380,45 @@ def test_attention_agrees_with_unfused_chain_to_rounding(p, training, worker):
     st.sampled_from([0.0, 0.1, 0.5]),
     st.booleans(),
     st.sampled_from([None, 16]),
-    st.booleans(),
 )
 @settings(max_examples=40, deadline=None)
-def test_attention_matches_reference_over_shapes(
-    seed, n, d, p, training, tile, threaded
-):
+def test_attention_matches_reference_over_shapes(seed, n, d, p, training, tile):
     # odd n and widths that are no multiple of 8 leave part-filled bytes
     # in the packed masks; 16 cells split every op into row tiles
     arrays, weight = attention_inputs(seed, n, d, d + 1)
     key = derive_key(seed, 0xD1)
-    with ThreadPoolExecutor(1) as pool, constants(ATTENTION_DROPOUT=p):
-        op = functools.partial(
-            fused_attention, pool=pool if threaded else None
-        )
+    with constants(ATTENTION_DROPOUT=p):
         with cutoffs(tile):
-            fused = run_attention(op, arrays, weight, training, key)
+            fused = run_attention(fused_attention, arrays, weight, training, key)
         ref = run_attention(reference_attention, arrays, weight, training, key)
     assert chain_close(fused[0], ref[0])
     for name in arrays:
         assert chain_close(fused[1][name], ref[1][name]), name
 
 
-def test_paired_attention_from_concurrent_callers(worker):
+@pytest.mark.parametrize("training", [True, False])
+def test_threaded_attention_equals_inline(training, worker):
+    # from the cutoff (here lowered to every n) the pool runs the second
+    # direction with the tiles it has inline, so both give the same bits;
+    # the shapes of the comparison with the unfused chain
+    for n, tile in itertools.product((40, 41, 7, 6), (None, 64)):
+        arrays, weight = attention_inputs(n, n)
+        key = derive_key(n, 0xD0)
+        threaded_op = functools.partial(fused_attention, pool=worker)
+        with constants(LARGE_CELLS=1), cutoffs(tile):
+            inline = run_attention(fused_attention, arrays, weight, training, key)
+            threaded = run_attention(threaded_op, arrays, weight, training, key)
+        assert np.array_equal(threaded[0], inline[0]), (n, tile)
+        for name in arrays:
+            assert np.array_equal(threaded[1][name], inline[1][name]), (name, n)
+
+
+def test_paired_attention_from_concurrent_callers(worker, monkeypatch):
     # more calling threads than cores, under frequent thread switches, each
     # with a pool of its own, then all four sharing one; every call must
-    # still give the bits of the op run inline on one thread
+    # still give the bits of the op run inline on one thread.  The pool
+    # runs the second direction from the cutoff, here lowered to every n
+    monkeypatch.setattr(ad, "LARGE_CELLS", 1)
     arrays, weight = attention_inputs(4, n=40)
     key = derive_key(4, 0xD0)
     expected = run_attention(fused_attention, arrays, weight, True, key)
@@ -443,9 +455,9 @@ def test_paired_attention_from_concurrent_callers(worker):
 
 
 def test_attention_starts_no_thread_of_its_own(monkeypatch, worker):
-    # paired_attention and dropout_masks run both calls of each pair on the
-    # caller's thread, or the second on the pool they are given, whose one
-    # worker is then the only thread started
+    # paired_attention runs both directions on the caller's thread, or from
+    # the cutoff the second on the pool it is given, whose one worker is
+    # then the only thread started; below the cutoff the pool stays unused
     started = []
     start = threading.Thread.start
 
@@ -455,10 +467,14 @@ def test_attention_starts_no_thread_of_its_own(monkeypatch, worker):
 
     monkeypatch.setattr(threading.Thread, "start", counted_start)
     arrays, weight = attention_inputs(5, n=40)
-    for pool, threads in ((None, 0), (worker, 1), (None, 1)):
+    cutoff = ad.LARGE_CELLS
+    cases = ((cutoff, None, 0), (cutoff, worker, 0), (1, None, 0),
+             (1, worker, 1), (1, None, 1))
+    for cells, pool, threads in cases:
         op = functools.partial(fused_attention, pool=pool)
-        run_attention(op, arrays, weight, True, derive_key(5, 0xD0))
-        assert len(started) == threads
+        with constants(LARGE_CELLS=cells):
+            run_attention(op, arrays, weight, True, derive_key(5, 0xD0))
+        assert len(started) == threads, (cells, pool is not None)
 
 
 @pytest.mark.parametrize("threaded", [False, True], ids=["inline", "threaded"])
@@ -471,7 +487,7 @@ def test_attention_holds_no_score_sized_float_array(threaded, worker):
     pool = worker if threaded else None
     tracemalloc.start()
     try:
-        keep = ad.dropout_masks(derive_key(6, 0xD0), 1200, pool=pool)
+        keep = ad.dropout_masks(derive_key(6, 0xD0), 1200)
         out = ad.paired_attention(
             leaves["x"], tuple(leaves[name] for name in NAMES), keep, pool=pool
         )
@@ -513,7 +529,7 @@ def half_cells(key, words, skip=0):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 13, 40])
-def test_half_masks_continue_the_stream(n, worker):
+def test_half_masks_continue_the_stream(n):
     # odd n leaves a part-used last word, and the second mask starts on the
     # next whole one; every row tile ends on a whole word
     key = derive_key(n, 0xB4)
@@ -522,9 +538,9 @@ def test_half_masks_continue_the_stream(n, worker):
     both = np.concatenate(
         [cells[: n * n], cells[4 * words : 4 * words + n * n]]
     ).reshape(2 * n, n) >= math.ceil(ad.ATTENTION_DROPOUT * 2**16)
-    for pool, tile in itertools.product((None, worker), (None, 8)):
+    for tile in (None, 8):
         with constants(LARGE_CELLS=1), cutoffs(tile):
-            masks = ad.dropout_masks(key, n, pool=pool)
+            masks = ad.dropout_masks(key, n)
         assert np.array_equal(masks[0], np.packbits(both[:n], axis=1))
         assert np.array_equal(masks[1], np.packbits(both[n:], axis=1))
 
@@ -572,22 +588,19 @@ def test_single_precision_scores_leave_no_subnormal_probability():
     assert np.abs(probs.sum(axis=1) - 1).max() <= 1e-5
 
 
-@given(SEEDS, st.sampled_from([None, 0.0, 0.2, 0.6]), st.booleans())
+@given(SEEDS, st.sampled_from([None, 0.0, 0.2, 0.6]))
 @settings(max_examples=20, deadline=None)
-def test_attention_grad(seed, p, threaded):
+def test_attention_grad(seed, p):
     # with respect to x and all six projections; the same masks in every
     # call, or none (inference) at p = None
     shapes = {"x": (8, 3)}
     shapes.update({name: (3, 3 if name[0] == "v" else 2) for name in NAMES})
-    with ThreadPoolExecutor(1) as pool, constants(ATTENTION_DROPOUT=p or 0.0):
+    with constants(ATTENTION_DROPOUT=p or 0.0):
         keep = None if p is None else ad.dropout_masks(derive_key(99, 0xB2), 4)
         check_unary(
             lambda l: square_sum(
                 ad.paired_attention(
-                    l["x"],
-                    tuple(l[name] for name in NAMES),
-                    keep,
-                    pool=pool if threaded else None,
+                    l["x"], tuple(l[name] for name in NAMES), keep
                 )
             ),
             shapes,
@@ -595,14 +608,14 @@ def test_attention_grad(seed, p, threaded):
         )
 
 
-def uniform_attention(keep, n=200, pool=None):
+def uniform_attention(keep, n=200):
     # zero queries give probabilities 1/n, and values that are the identity
     # show the dropped probabilities themselves as the output: the (2n, n)
     # masks in drawing order
     x = Tensor(np.vstack([np.eye(n), np.eye(n)]))
     zero = Tensor(np.zeros((n, 1)))
     v_neg, v_pos = Tensor(np.eye(n)), Tensor(np.eye(n))
-    out = ad.paired_attention(x, (zero, zero, v_neg, zero, zero, v_pos), keep, pool)
+    out = ad.paired_attention(x, (zero, zero, v_neg, zero, zero, v_pos), keep)
     return out, (v_neg, v_pos)
 
 
@@ -620,30 +633,27 @@ def test_dropout_mask_equals_random_threshold(seed, n, p):
     # offsets in a Philox block that the second mask can start from
     key = derive_key(seed, 0xB3)
 
-    def check(pools):
+    def check():
         both = make_rng(seed, 0xB3).random((2 * n, n)) >= ad.ATTENTION_DROPOUT
-        # the second mask drawn after the first or on a pool's thread past
-        # it; 8 cells split every mask over 8 cells
-        for pool, tile in itertools.product(pools, (None, 8)):
+        # the second mask continues the stream past the first; 8 cells
+        # split every mask over 8 cells
+        for tile in (None, 8):
             with cutoffs(tile):
-                masks = ad.dropout_masks(key, n, pool=pool)
+                masks = ad.dropout_masks(key, n)
             assert np.array_equal(masks[0], np.packbits(both[:n], axis=1))
             assert np.array_equal(masks[1], np.packbits(both[n:], axis=1))
-        # the op drops exactly the masked cells, with and without a pool,
-        # in one tile and in many
-        masks = ad.dropout_masks(key, n)
-        for pool, tile in itertools.product(pools, (None, 8)):
+        # the op drops exactly the masked cells, in one tile and in many
+        for tile in (None, 8):
             with cutoffs(tile):
-                out = uniform_attention(masks, n, pool)[0]
+                out = uniform_attention(masks, n)[0]
             assert np.array_equal(out.value != 0, both)
 
     # p, then a drawn value r as the threshold: r itself is kept and the
     # next float above it is not
     r = make_rng(seed, 0xB3).random()
-    with ThreadPoolExecutor(1) as worker:
-        for threshold in (p, r, float(np.nextafter(r, 1.0))):
-            with constants(ATTENTION_DROPOUT=threshold):
-                check((None, worker))
+    for threshold in (p, r, float(np.nextafter(r, 1.0))):
+        with constants(ATTENTION_DROPOUT=threshold):
+            check()
 
 
 def test_dropout_inference_is_identity():
@@ -670,19 +680,18 @@ def test_dropout_training_mask_and_scaling():
     assert abs(out.value.sum(axis=1).mean() - 1.0) < 0.02
 
 
-def test_dropout_gradient_uses_same_mask(worker):
+def test_dropout_gradient_uses_same_mask():
     keep = ad.dropout_masks(derive_key(3, 0xB0), 200)
-    for pool in (None, worker):
-        out, (v_neg, v_pos) = uniform_attention(keep, pool=pool)
-        g = np.ones_like(out.value)
-        ad.backward(weighted_sum(out, g))
-        # with the identity as both bank and projection, the projection's
-        # gradient is dv = dropped.T @ g per direction, and out is the
-        # dropped probabilities themselves
-        halves = (slice(200), slice(200, None))
-        for v, rows in zip((v_neg, v_pos), halves):
-            want = out.value[rows].T @ g[rows]
-            np.testing.assert_allclose(v.grad, want, rtol=1e-12)
+    out, (v_neg, v_pos) = uniform_attention(keep)
+    g = np.ones_like(out.value)
+    ad.backward(weighted_sum(out, g))
+    # with the identity as both bank and projection, the projection's
+    # gradient is dv = dropped.T @ g per direction, and out is the dropped
+    # probabilities themselves
+    halves = (slice(200), slice(200, None))
+    for v, rows in zip((v_neg, v_pos), halves):
+        want = out.value[rows].T @ g[rows]
+        np.testing.assert_allclose(v.grad, want, rtol=1e-12)
 
 
 def test_paired_attention_rejects_bad_mask_shape():

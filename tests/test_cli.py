@@ -412,6 +412,38 @@ def test_bench_empty_dir_fails(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("case", ["bench", "solve", "gen-file", "gen-under-file"])
+def test_an_unwritable_output_fails_before_any_work(
+    tmp_path, capsys, monkeypatch, case
+):
+    # each once did its work first and then died in a traceback, losing
+    # what it had computed
+    data = gen_dataset(tmp_path, count=1)
+    capsys.readouterr()
+    afile = tmp_path / "file"
+    afile.write_text("")
+    missing = tmp_path / "missing" / "out"
+    argv, path, reason = {
+        "bench": (["bench", "--dataset-dir", str(data), "--methods",
+                   "local-search", "--workers", "1", "--out", str(missing)],
+                  missing, "No such file or directory"),
+        "solve": (["solve", str(data / "*.wcnf"), "--out", str(missing)],
+                  missing, "No such file or directory"),
+        "gen-file": (["gen", "--n", "5", "--m", "5", "--out-dir", str(afile)],
+                     afile, "File exists"),
+        "gen-under-file": (["gen", "--n", "5", "--m", "5", "--out-dir",
+                            str(afile / "sub")], afile / "sub", "Not a directory"),
+    }[case]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output was opened")
+
+    for name in ("solve", "local_search", "generate_random_3sat"):
+        monkeypatch.setattr(cli, name, no_work)
+    code, out, err = run(argv, capsys)
+    assert (code, out, err) == (1, "", f"error: {path}: {reason}\n")
+
+
 def test_gradcheck_passes_on_small_instance(capsys):
     code, out, _ = run(["gradcheck", "--n", "6", "--seed", "2"], capsys)
     assert code == 0

@@ -17,7 +17,7 @@ from hypersat import autodiff as ad
 from hypersat import solver
 from hypersat.objective import LossBreakdown
 from hypersat.oracle import exhaustive_optimum
-from hypersat.rng import make_rng
+from hypersat.rng import derive_key, make_rng
 from hypersat.solver import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -232,22 +232,39 @@ def test_solve_starts_one_thread_at_most(monkeypatch, n):
     assert threading.active_count() == before
 
 
-def test_masks_drawn_ahead_or_inline_train_alike(monkeypatch):
-    # below LARGE_CELLS train's worker draws each epoch's masks ahead; from
-    # it, the worker runs the second direction and the masks are drawn at
-    # the epoch's start.  Both read the same keys.  The cutoff also sets
-    # the attention's precision, so each pair of runs holds it fixed
+@pytest.mark.parametrize("cells", [None, 1], ids=["below", "from"])
+def test_each_epoch_trains_on_its_own_masks(monkeypatch, cells):
+    # the worker draws epoch e's masks from derive_key(seed, 0xD0, e) ahead
+    # of the epoch, below the attention's cutoff and from it (lowered to
+    # every n here); an early stop trains on its epochs' masks alone
+    if cells is not None:
+        monkeypatch.setattr(ad, "LARGE_CELLS", cells)
     inst = rand_instance(9)
-    config = SolveConfig(seed=9, max_epochs=20)
-    for single in (False, True):
-        monkeypatch.setattr(ad, "_single", lambda cells: single)
-        y_ahead, t_ahead, _, _ = train(inst, config)
-        before = threading.active_count()
-        with monkeypatch.context() as patch:
-            patch.setattr(ad, "LARGE_CELLS", 1)
-            y_inline, t_inline, _, _ = train(inst, config)
-        assert threading.active_count() == before
-        assert np.array_equal(y_ahead, y_inline) and t_ahead == t_inline
+    received, build = [], solver.build_forward
+
+    def recording_build(*args, training=False, dropout=None, **kwargs):
+        if training:
+            received.append(dropout)
+        return build(*args, training=training, dropout=dropout, **kwargs)
+
+    monkeypatch.setattr(solver, "build_forward", recording_build)
+    expected = [
+        ad.dropout_masks(derive_key(9, 0xD0, epoch), 10) for epoch in (1, 2, 3)
+    ]
+
+    def check(epochs):
+        assert len(received) == epochs
+        for got, want in zip(received, expected):
+            assert all(map(np.array_equal, got, want))
+        received.clear()
+
+    assert train(inst, SolveConfig(seed=9, max_epochs=3))[2] == 3
+    check(3)
+    # no epoch beats the best by an infinite margin, so every epoch stalls
+    monkeypatch.setattr(solver, "EARLY_STOP_TOLERANCE", float("inf"))
+    monkeypatch.setattr(solver, "EARLY_STOP_PATIENCE", 2)
+    assert train(inst, SolveConfig(seed=9, max_epochs=50))[2] == 2
+    check(2)
 
 
 def test_train_deterministic():
