@@ -9,23 +9,36 @@ flip a random variable of it, otherwise the variable minimizing the
 resulting unsatisfied weight; the best assignment seen is tracked.
 
 The walk keeps each clause's unsatisfied weight (0 if satisfied) in a
-Fenwick (binary indexed) tree of Python ints.  A step costs O(log m) for
-the draw and for each clause the flip breaks or mends, plus the
-occurrences of the clause's variables, and calls nothing of numpy but the
-generator's draws.  The draw is the exact inverse CDF: with ``u = rng.random()``, a multiple of
-2^-53, it takes the first clause in index order whose int prefix sum of
-unsatisfied weight exceeds u * unsat_w.  ``rng.choice(m, p=w * unsat /
-unsat_w)`` approximates that with a float cdf, ``cdf = p.cumsum(); cdf /=
-cdf[-1]`` and ``cdf.searchsorted(u, side="right")``, so the two draw the
-same clause unless u lands within float rounding of a cdf step.  The
-walk reads and writes Python lists (``WcnfInstance.occurrence_lists``,
-built once per instance, and the tree, built once per walk), not numpy
-scalars.
+Fenwick (binary indexed) tree of Python ints, and two more lists in step
+with the clauses' true counts: ``crit[j]``, clause j's weight when just one
+of its literals is true (a flip of that literal breaks it), and
+``unsat[j]``, its weight when none is (a flip of any literal mends it),
+each 0 otherwise.  A step costs the tree descent of the draw, O(log m); on
+a greedy step one sum over the crit and unsat items of each of the
+clause's variables' occurrences; and for the flip, an update of the counts
+and lists per occurrence of the flipped variable, plus one walk up the
+tree, along a list of next slots, for each clause that it breaks or mends.
+It calls nothing of numpy.
+
+The walk's randomness is the generator's raw Philox words, fetched in
+blocks (``_raw_draws``), from which it makes exactly the draws
+``rng.random()`` and ``rng.integers(k)`` would make.  The clause draw is
+the exact inverse CDF: with ``u = rng.random()``, a multiple of 2^-53, it
+takes the first clause in index order whose int prefix sum of unsatisfied
+weight exceeds u * unsat_w.  ``rng.choice(m, p=w * unsat / unsat_w)``
+approximates that with a float cdf, ``cdf = p.cumsum(); cdf /= cdf[-1]``
+and ``cdf.searchsorted(u, side="right")``, so the two draw the same clause
+unless u lands within float rounding of a cdf step.  The walk reads and
+writes Python lists (``WcnfInstance.occurrence_lists``, built once per
+instance, and its state, built once per walk), not numpy scalars.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -35,6 +48,9 @@ from .wcnf import WcnfInstance, evaluate
 MAX_EXHAUSTIVE_VARS = 26
 _CHUNK_CELLS = 1 << 22  # assignments x literals per evaluated chunk
 _UNIT = 1 << 53  # rng.random() draws multiples of 1 / _UNIT
+_HALF = 1 << 32  # integers() draws from 32-bit halves of the raw words
+_LOW = _HALF - 1
+_BLOCK = 1 << 10  # raw words fetched at a time
 
 
 @dataclass(frozen=True)
@@ -82,14 +98,14 @@ def _fenwick(values: np.ndarray) -> list[int]:
     return (prefix[i] - prefix[i - (i & -i)]).tolist()
 
 
-def _draw(tree: list[int], total: int, u: float) -> int:
+def _draw(tree: list[int], total: int, k: int) -> int:
     """The first index j with ``values[0] + ... + values[j] > u * total``
-    for the tree's values, u in [0, 1) and total the values' sum.
+    for the tree's values, u = k / 2^53 the draw of ``rng.random()`` whose
+    53-bit int is k, and total the values' sum.
 
-    ``rng.random()`` returns a multiple of 2^-53, so ``k = u * 2^53`` is
-    an exact int and ``k * total // 2^53`` is floor(u * total); an int
-    prefix sum exceeds that floor just when it exceeds u * total."""
-    target = int(u * _UNIT) * total // _UNIT
+    ``k * total // 2^53`` is floor(u * total); an int prefix sum exceeds
+    that floor just when it exceeds u * total."""
+    target = k * total >> 53
     pos = 0
     step = len(tree) >> 1
     while step:
@@ -100,21 +116,61 @@ def _draw(tree: list[int], total: int, u: float) -> int:
     return pos
 
 
+def _raw_draws(
+    rng: np.random.Generator,
+) -> tuple[Callable[[], int], Callable[[int], int]]:
+    """The draws of a Philox generator, made one at a time from its raw
+    64-bit words, which are fetched in blocks of ``_BLOCK``.
+
+    Returns (word, below).  ``word()`` is the next word, and ``word() >>
+    11`` the 53-bit int that ``rng.random()`` scales by 2^-53.
+    ``below(k)``, for 1 <= k <= 2^32, is ``rng.integers(k)``: numpy's
+    Lemire draw on 32-bit halves, low half first, which takes a half h
+    unless ``h * k mod 2^32`` is below ``2^32 mod k``; the high half is
+    kept for the next draw, starting from the half that ``rng`` kept, and
+    k = 1 draws nothing.  Both read one stream in the order called, so any
+    interleaving of them makes the generator's own draws; ``rng`` is read
+    ahead and must not be drawn from afterwards."""
+    bits = rng.bit_generator
+    state = bits.state
+    spare = state["uinteger"] if state["has_uint32"] else None
+    word = chain.from_iterable(
+        iter(lambda: bits.random_raw(_BLOCK).tolist(), None)
+    ).__next__
+
+    def below(k: int) -> int:
+        nonlocal spare
+        if k == 1:
+            return 0
+        while True:
+            if spare is None:
+                w = word()
+                half, spare = w & _LOW, w >> 32
+            else:
+                half, spare = spare, None
+            m = half * k
+            if m & _LOW >= _HALF % k:
+                return m >> 32
+
+    return word, below
+
+
 def _walk_state(
     instance: WcnfInstance, assignment: np.ndarray
-) -> tuple[list[int], list[int], list[int], int]:
+) -> tuple[list[int], list[int], list[int], list[int], list[int], int]:
     """The walk's state at an assignment, as the Python lists it reads and
     writes one item at a time: the assignment, each clause's count of true
-    literals, the Fenwick tree of each clause's unsatisfied weight (0 if
-    satisfied), and the total unsatisfied weight."""
+    literals, its crit and unsat weights (see the module docstring), the
+    Fenwick tree of the unsat weights, and the total unsatisfied weight."""
     true_count = np.add.reduceat(
         (assignment[instance.var] == instance.positive).astype(np.int64),
         instance.start[:-1],
     )
+    crit = np.where(true_count == 1, instance.weight, 0)
     unsat = np.where(true_count == 0, instance.weight, 0)
     return (
-        assignment.tolist(), true_count.tolist(), _fenwick(unsat),
-        int(unsat.sum()),
+        assignment.tolist(), true_count.tolist(), crit.tolist(),
+        unsat.tolist(), _fenwick(unsat), int(unsat.sum()),
     )
 
 
@@ -136,64 +192,75 @@ def local_search(
     n = instance.num_vars
     rng = make_rng(seed, 0x15)
     initial = rng.integers(0, 2, size=n).astype(np.int8)
+    word, below = _raw_draws(rng)
+    # rng.random() < noise just when word() >> 11 < noise * 2^53, that is
+    # when the word is below ceil(noise * 2^53) * 2^11
+    noisy = math.ceil(noise * _UNIT) << 11
 
     occ = instance.occurrence_lists
     occurs, clause_vars, weights = occ.occurs, occ.clause_vars, occ.weight
-    assignment, true_count, tree, unsat_w = _walk_state(instance, initial)
+    assignment, true_count, crit, unsat, tree, unsat_w = _walk_state(
+        instance, initial
+    )
     best_w = unsat_w
     size = len(tree)
+    slot = np.arange(size)
+    up = (slot + (slot & -slot)).tolist()  # the next slot that sums slot i
+    crit_of, unsat_of = crit.__getitem__, unsat.__getitem__
     flips: list[int] = []
     best_flips = 0  # the best assignment is initial after flips[:best_flips]
-
-    def flip_delta(var: int) -> int:
-        value = assignment[var]
-        delta = 0
-        for j in occurs[var][value]:  # true now
-            if true_count[j] == 1:
-                delta += weights[j]  # clause breaks
-        for j in occurs[var][1 - value]:  # false now
-            if true_count[j] == 0:
-                delta -= weights[j]  # clause becomes satisfied
-        return delta
-
-    def do_flip(var: int) -> None:
-        nonlocal unsat_w
-        value = assignment[var]
-        for j in occurs[var][value]:  # true now
-            count = true_count[j] - 1
-            true_count[j] = count
-            if count == 0:  # breaks: add its weight along the tree
-                w = weights[j]
-                unsat_w += w
-                i = j + 1
-                while i < size:
-                    tree[i] += w
-                    i += i & -i
-        for j in occurs[var][1 - value]:  # false now
-            count = true_count[j]
-            if count == 0:  # becomes satisfied
-                w = weights[j]
-                unsat_w -= w
-                i = j + 1
-                while i < size:
-                    tree[i] -= w
-                    i += i & -i
-            true_count[j] = count + 1
-        assignment[var] = 1 - value
-        flips.append(var)
 
     steps = 0
     for step in range(max_steps):
         if unsat_w == 0:
             break
-        j = _draw(tree, unsat_w, rng.random())
-        vars_ = clause_vars[j]
-        if rng.random() < noise:
-            var = vars_[int(rng.integers(len(vars_)))]
-        else:
-            deltas = [flip_delta(v) for v in vars_]
-            var = vars_[deltas.index(min(deltas))]
-        do_flip(var)
+        vars_ = clause_vars[_draw(tree, unsat_w, word() >> 11)]
+        if word() < noisy:
+            var = vars_[below(len(vars_))]
+        else:  # the first variable whose flip leaves the least weight
+            least = None
+            for v in vars_:
+                sides = occurs[v]
+                value = assignment[v]
+                # the weight of the clauses it breaks less those it mends
+                delta = sum(map(crit_of, sides[value])) - sum(
+                    map(unsat_of, sides[1 - value])
+                )
+                if least is None or delta < least:
+                    least, var = delta, v
+        # the flip: counts, crit and unsat weights, and the tree follow it
+        value = assignment[var]
+        sides = occurs[var]
+        for j in sides[value]:  # true now
+            count = true_count[j] - 1
+            true_count[j] = count
+            if count == 1:
+                crit[j] = weights[j]
+            elif count == 0:  # breaks: add its weight along the tree
+                w = weights[j]
+                crit[j] = 0
+                unsat[j] = w
+                unsat_w += w
+                i = j + 1
+                while i < size:
+                    tree[i] += w
+                    i = up[i]
+        for j in sides[1 - value]:  # false now
+            count = true_count[j]
+            true_count[j] = count + 1
+            if count == 0:  # becomes satisfied
+                w = weights[j]
+                crit[j] = w
+                unsat[j] = 0
+                unsat_w -= w
+                i = j + 1
+                while i < size:
+                    tree[i] -= w
+                    i = up[i]
+            elif count == 1:
+                crit[j] = 0
+        assignment[var] = 1 - value
+        flips.append(var)
         steps = step + 1
         if unsat_w < best_w:
             best_w = unsat_w

@@ -4,12 +4,13 @@ probabilistic rounding to Boolean assignments.
 Training minimizes task + lambda * shared per epoch (dropout on, fresh
 masks per epoch).  The training state is the model's flat parameter vector
 and Adam's two moment vectors of the same layout: each epoch gathers the
-leaf gradients into one vector, and Adam is a few vector operations on it.
-The best-total-loss parameters are kept as one copy of the vector; the
-returned probabilities come from a final dropout-off forward pass with
-those parameters.  Rounding draws k independent Bernoulli assignments from
-the probability vector and keeps the one with the least unsatisfied weight
-(first drawn wins ties).
+leaf gradients into one vector, and Adam is a few vector operations on it;
+the last epoch, which no epoch follows, takes no step.  The best-total-loss
+parameters are kept as one copy of the vector; the returned probabilities
+come from a final dropout-off forward pass with those parameters.
+Rounding draws k independent Bernoulli assignments from the probability
+vector and keeps the one with the least unsatisfied weight (first drawn
+wins ties).
 
 Threading: ``train`` keeps one worker thread for the whole solve, started
 only if a model with attention needs it.  The worker draws epoch 1's
@@ -217,14 +218,15 @@ def train(instance: WcnfInstance, config: SolveConfig) -> tuple[
                 stall = 0
             else:
                 stall += 1
-                if stall >= EARLY_STOP_PATIENCE:
-                    break
+            # the last epoch's step would make parameters that nothing reads
+            if stall >= EARLY_STOP_PATIENCE or epoch == config.max_epochs:
+                break
             ad.backward(total_t)
             # the leaves follow the parameters' order, which is flat's layout
             grad = np.concatenate([t.grad.ravel() for t in ft.leaves.values()])
             adam_step(flat, grad, m, v, epoch, config.learning_rate)
             # free this epoch's tape before the next forward builds another;
-            # an early-stop break skips this line
+            # the breaks skip this line
             ft = total_t = masks = None
         ft = total_t = masks = ahead = None
         np.copyto(flat, best_flat)  # the views in params now hold the best

@@ -157,8 +157,11 @@ class WcnfInstance:
         """The clauses as lists, built on first use."""
         var, clause_of = self.var, self.clause_of
         kept = np.flatnonzero(~self.tautology[clause_of])
-        # 2v + p sorts the literals by variable v, then by polarity p
-        key = 2 * var[kept] + self.positive[kept]
+        # 2v + p sorts the literals by variable v, then by polarity p; below
+        # 2^16 numpy sorts the key stably by radix
+        key = (2 * var[kept] + self.positive[kept]).astype(
+            np.min_scalar_type(2 * self.num_vars)
+        )
         clauses = clause_of[kept[np.argsort(key, kind="stable")]].tolist()
         counts = np.bincount(key, minlength=2 * self.num_vars)
         bounds = [0] + np.cumsum(counts).tolist()

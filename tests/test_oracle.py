@@ -323,21 +323,39 @@ def mixed_arity_instance(seed, n=300, m=1200):
     return make_instance(n, clauses)
 
 
+def unit_clause_instance(seed, n=301, m=900):
+    """Random 3-SAT on an odd n with both unit clauses of the first 40
+    variables, so that no assignment satisfies it; weights 1-10."""
+    units = [
+        ((sign * v,), 1 + (v + sign) % 10)
+        for v in range(1, 41)
+        for sign in (1, -1)
+    ]
+    return make_instance(n, random_3sat_clauses(seed, n, m) + units)
+
+
 @pytest.mark.parametrize(
     "kind, seed, best_w, digest",
     [
         ("3sat", 3, 378, "5266f87d1e40e273835f7fc2898474fa2bb2a509af18106acb7cd8aa3fede697"),
         ("3sat", 4, 256, "54363844178730e108a07a239c81d406c3bdb13bb644ab8d64519f388690e93d"),
         ("mixed", 6, 11078, "c6b8f75a3569b5b7d10b195aa24830d32000cc4a0bedfc36e7181268e58c6b72"),
+        ("units", 8, 316, "4372bb18d39933e20a62913f6064dc3039a83fbe0720341254edc750842250a3"),
     ],
 )
 def test_local_search_reproduces_recorded_walks(kind, seed, best_w, digest):
-    # Recorded from the walk that sampled with rng.choice over all clauses.
+    # Recorded from the walk that sampled with rng.choice over all clauses;
+    # the walk on unit clauses from the one that drew with rng.random() and
+    # rng.integers(): n is odd, so its first integers() draw takes the half
+    # word that the initial assignment left, and a unit clause draws none
+    noise = 0.5
     if kind == "3sat":
         inst = assign_random_weights(generate_random_3sat(1000, 4260, seed=11), seed=11)
-    else:
+    elif kind == "mixed":
         inst = mixed_arity_instance(5)
-    res = local_search(inst, max_steps=1000, seed=seed)
+    else:  # every step draws its flip
+        inst, noise = unit_clause_instance(12), 1.0
+    res = local_search(inst, max_steps=1000, seed=seed, noise=noise)
     assert res.best_unsat_weight == best_w
     assert res.steps == 1000
     assert res.best_assignment.dtype == np.int8
@@ -355,9 +373,9 @@ def test_occurrence_lists_built_once_per_instance():
 @st.composite
 def draws(draw):
     """(weights, k): clause weights up to 2^40, zeros for satisfied clauses,
-    and k = u * 2^53 for a draw u of rng.random().  Half the weight lists
-    are padded to a power-of-two total, on which u * total lands exactly
-    on a prefix sum when k is drawn just at one."""
+    and the 53-bit int k of a draw u = k / 2^53 of rng.random().  Half the
+    weight lists are padded to a power-of-two total, on which u * total
+    lands exactly on a prefix sum when k is drawn just at one."""
     weights = draw(
         st.lists(st.one_of(st.just(0), st.integers(1, 2**40)), min_size=1, max_size=40)
         .filter(any)
@@ -378,15 +396,13 @@ def test_draw_is_the_exact_inverse_cdf(drawn):
     # side="right"), in exact rationals
     weights, k = drawn
     total = sum(weights)
-    u = k / 2**53
-    assert Fraction(u) == Fraction(k, 2**53)
     expected = next(
         j
         for j, prefix in enumerate(itertools.accumulate(weights))
-        if prefix > Fraction(u) * total
+        if prefix > Fraction(k, 2**53) * total
     )
     tree = oracle._fenwick(np.array(weights, dtype=np.int64))
-    assert oracle._draw(tree, total, u) == expected
+    assert oracle._draw(tree, total, k) == expected
     assert weights[expected] > 0
 
 
@@ -400,9 +416,10 @@ def test_draw_is_the_exact_inverse_cdf(drawn):
 def test_walk_state_equals_one_rebuilt_from_its_assignment(
     instance, max_steps, seed, noise
 ):
-    # the walk updates its counts and its tree in place; after it they must
-    # equal those built afresh from where it stopped (a tautology's count
-    # is left as it was: no flip can break or mend it)
+    # the walk updates its counts, its crit and unsat weights and its tree
+    # in place; after it they must equal those built afresh from where it
+    # stopped (a tautology's count, and so its crit weight, is left as it
+    # was: no flip can break or mend it)
     states = []
     build = oracle._walk_state
 
@@ -414,8 +431,50 @@ def test_walk_state_equals_one_rebuilt_from_its_assignment(
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracle, "_walk_state", recorded)
         local_search(inst, max_steps=max_steps, seed=seed, noise=noise)
-    assignment, true_count, tree, _ = states[0]
+    assignment, true_count, crit, unsat, tree, _ = states[0]
     rebuilt = build(inst, np.array(assignment, dtype=np.int8))
     kept = ~inst.tautology
-    assert np.array_equal(np.array(rebuilt[1])[kept], np.array(true_count)[kept])
-    assert rebuilt[2] == tree
+    for got, want in zip((true_count, crit), rebuilt[1:3]):
+        assert np.array_equal(np.array(want)[kept], np.array(got)[kept])
+    assert rebuilt[3:5] == (unsat, tree)
+
+
+BOUNDS = [*range(1, 31), 2**31 + 1, 3 * 10**9]
+
+
+def assert_draws_like_the_generator(key, n, calls):
+    # after the initial integers(0, 2, size=n) the walk makes, the raw-word
+    # draws must be the generator's own, whatever their order; None stands
+    # for a random() draw, k for integers(k)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    same = np.random.Generator(np.random.Philox(key=key))
+    assert np.array_equal(rng.integers(0, 2, size=n), same.integers(0, 2, size=n))
+    word, below = oracle._raw_draws(rng)
+    for k in calls:
+        if k is None:
+            assert (word() >> 11) / 2**53 == same.random()
+        else:
+            assert below(k) == same.integers(k)
+
+
+@given(
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 9),
+    st.lists(st.one_of(st.none(), st.sampled_from(BOUNDS)), max_size=80),
+)
+@settings(max_examples=300, deadline=None)
+def test_raw_draws_equal_the_generators(key, n, calls):
+    # k = 2^31 + 1 and 3 * 10^9 take Lemire's rejection branch often, the
+    # clause sizes almost never
+    assert_draws_like_the_generator(key, n, calls)
+
+
+@pytest.mark.parametrize("n", [300, 301])
+def test_raw_draws_equal_the_generators_across_blocks(n):
+    # many blocks of raw words, after an even and an odd initial draw
+    rng = np.random.default_rng(n)
+    calls = [
+        None if pick < len(BOUNDS) else BOUNDS[pick % len(BOUNDS)]
+        for pick in rng.integers(0, 2 * len(BOUNDS), size=6 * oracle._BLOCK)
+    ]
+    assert_draws_like_the_generator(n, n, calls)

@@ -267,6 +267,27 @@ def test_each_epoch_trains_on_its_own_masks(monkeypatch, cells):
     check(2)
 
 
+def test_train_steps_after_every_epoch_but_its_last(monkeypatch):
+    # the parameters of a step after the last epoch would never be read, so
+    # a full-length run and an early-stopped run both take epochs_run - 1
+    inst = rand_instance(4)
+    calls, backward = [], ad.backward
+
+    def counted_backward(*args):
+        calls.append(None)
+        return backward(*args)
+
+    monkeypatch.setattr(ad, "backward", counted_backward)
+    assert train(inst, SolveConfig(seed=4, max_epochs=6))[2] == 6
+    assert len(calls) == 5
+    calls.clear()
+    # no epoch beats the best by an infinite margin, so every epoch stalls
+    monkeypatch.setattr(solver, "EARLY_STOP_TOLERANCE", float("inf"))
+    monkeypatch.setattr(solver, "EARLY_STOP_PATIENCE", 4)
+    assert train(inst, SolveConfig(seed=4, max_epochs=50))[2] == 4
+    assert len(calls) == 3
+
+
 def test_train_deterministic():
     inst = rand_instance(9)
     config = SolveConfig(seed=9, max_epochs=40)

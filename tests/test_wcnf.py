@@ -177,21 +177,36 @@ def test_parse_rejects_duplicate_literal():
     assert info.value.line == 2
 
 
-def test_occurrence_lists_mirror_the_clauses():
-    # variable 4 occurs nowhere, so only n tells the walk it exists
-    inst = make_instance(4, [((1, -2), 3), ((-1, 2, 3), 5), ((2, -2), 7)])
+def assert_occurrence_lists_mirror_the_clauses(skip):
+    # variable skip + 4 occurs nowhere, so only n tells the walk it exists
+    a, b, c = skip + 1, skip + 2, skip + 3
+    inst = make_instance(
+        skip + 4, [((a, -b), 3), ((-a, b, c), 5), ((b, -b), 7)]
+    )
     occ = inst.occurrence_lists
     # clause 2 is a tautology, which no flip can break or mend; each
     # variable's clauses of -v, then of +v
-    assert occ.occurs == [
+    assert occ.occurs == [([], [])] * skip + [
         ([1], [0]),
         ([0], [1]),
         ([], [1]),
         ([], []),
     ]
     assert inst.tautology.tolist() == [False, False, True]
-    assert occ.clause_vars == [[0, 1], [0, 1, 2], [1, 1]]
+    assert occ.clause_vars == [
+        [skip, skip + 1], [skip, skip + 1, skip + 2], [skip + 1, skip + 1]
+    ]
     assert occ.weight == [3, 5, 7]
+
+
+def test_occurrence_lists_mirror_the_clauses():
+    assert_occurrence_lists_mirror_the_clauses(0)
+
+
+def test_occurrence_lists_mirror_the_clauses_past_16_bit_sort_keys():
+    # with 40000 variables before the rest, 2n passes 2^16 and the sort
+    # key is 32 bits wide
+    assert_occurrence_lists_mirror_the_clauses(40_000)
 
 
 def test_clause_validation():
